@@ -190,30 +190,36 @@ let batch_plan pairs =
         Array.copy item.bpos ))
     (batch_items pairs idxs)
 
-(* Solve one item and fold the per-lane bounds off the groups. *)
-let batch_item_bounds ~ws g policy dep pairs idxs item =
-  let attackers =
-    Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
-  in
-  let b = Routing.Batch.compute ~ws g policy dep ~dst:item.bdst ~attackers in
-  let lanes = Array.length attackers in
-  let lb = Array.make lanes 0 and ub = Array.make lanes 0 in
-  (* Hoisted once per solve: building these inside the [iter_fixed]
-     callback would box two fresh closures per fixed group. *)
-  let tick_ub l = ub.(l) <- ub.(l) + 1 in
-  let tick_lb l = lb.(l) <- lb.(l) + 1 in
+(* Per-lane bounds of a batched solve, folded off the frozen groups:
+   each ordinary group that reaches the destination adds its whole lane
+   mask to the [ub] counter at once, and to [lb] too unless it can also
+   reach the attacker.  Class-3 (root) groups are skipped, which drops
+   exactly each lane's two non-sources. *)
+let lane_bounds ~n b =
+  let ub = Prelude.Lane_counter.create ~max_count:n in
+  let lb = Prelude.Lane_counter.create ~max_count:n in
   Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
       let open Routing.Engine.Packed in
       if cls_code_of word <> 3 && to_d_of word then begin
-        Prelude.Bitset.iter_word tick_ub mask;
-        if not (to_m_of word) then Prelude.Bitset.iter_word tick_lb mask
+        Prelude.Lane_counter.add ub mask;
+        if not (to_m_of word) then Prelude.Lane_counter.add lb mask
       end);
-  let sources = Topology.Graph.n g - 2 in
+  let lanes = Routing.Batch.lanes b and sources = n - 2 in
+  let lb = Prelude.Lane_counter.to_array lb ~lanes
+  and ub = Prelude.Lane_counter.to_array ub ~lanes in
   Array.init lanes (fun l ->
       {
         lb = Prelude.Stats.fraction lb.(l) sources;
         ub = Prelude.Stats.fraction ub.(l) sources;
       })
+
+(* Solve one item and fold the per-lane bounds off the groups. *)
+let batch_item_bounds ~ws g policy dep pairs idxs item =
+  let attackers =
+    Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
+  in
+  lane_bounds ~n:(Topology.Graph.n g)
+    (Routing.Batch.compute ~ws g policy dep ~dst:item.bdst ~attackers)
 
 (* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination.
    Returns bounds aligned with [idxs].  [report] ticks from the caller
@@ -376,6 +382,21 @@ module Cache = struct
     Sc.clear t.store
 end
 
+(* The H metric of a pair set: the mean of its per-pair bounds, summed
+   in pair order. *)
+let mean vals =
+  let total = Array.length vals in
+  if total = 0 then { lb = 0.; ub = 0. }
+  else begin
+    let lb = ref 0. and ub = ref 0. in
+    Array.iter
+      (fun b ->
+        lb := !lb +. b.lb;
+        ub := !ub +. b.ub)
+      vals;
+    { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
+  end
+
 let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
   let total = Array.length pairs in
   if total = 0 then { lb = 0.; ub = 0. }
@@ -478,13 +499,7 @@ let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
           pairs
       end
     in
-    let lb = ref 0. and ub = ref 0. in
-    Array.iter
-      (fun b ->
-        lb := !lb +. b.lb;
-        ub := !ub +. b.ub)
-      per_pair;
-    { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
+    mean per_pair
   end
 
 let h_metric_per_dst ?pool ?cache g policy dep ~attackers ~dst =
@@ -539,19 +554,6 @@ module Evaluator = struct
       prev = None;
       st = { computed = 0; carried = 0; cache_hits = 0; thm_skips = 0 };
     }
-
-  let mean pairs vals =
-    let total = Array.length pairs in
-    if total = 0 then { lb = 0.; ub = 0. }
-    else begin
-      let lb = ref 0. and ub = ref 0. in
-      Array.iter
-        (fun b ->
-          lb := !lb +. b.lb;
-          ub := !ub +. b.ub)
-        vals;
-      { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
-    end
 
   let eval t dep =
     let version = Cache.intern t.cache t.g dep in
@@ -631,7 +633,7 @@ module Evaluator = struct
         cache_hits = t.st.cache_hits + !hits;
         thm_skips = t.st.thm_skips + !skips;
       };
-    mean t.pairs vals
+    mean vals
 
   let values t =
     match t.prev with
@@ -704,9 +706,8 @@ module Replay = struct
     }
 
   (* One batched solve of a word against the current graph: fold the
-     per-lane bounds off the groups (same fold as [batch_item_bounds])
-     and freeze the group state before anything else touches the shared
-     workspace. *)
+     per-lane bounds off the groups and freeze the group state before
+     anything else touches the shared workspace. *)
   let solve_word t vals w =
     let n = Topology.Graph.n t.r_g in
     let b =
@@ -714,40 +715,9 @@ module Replay = struct
         ~ws:(Routing.Batch.Workspace.local ())
         t.r_g t.r_policy t.r_dep ~dst:w.w_dst ~attackers:w.w_attackers
     in
-    let lanes = Array.length w.w_attackers in
-    let lb = Array.make lanes 0 and ub = Array.make lanes 0 in
-    (* Same per-group closure hoist as [batch_item_bounds]. *)
-    let tick_ub l = ub.(l) <- ub.(l) + 1 in
-    let tick_lb l = lb.(l) <- lb.(l) + 1 in
-    Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-        let open Routing.Engine.Packed in
-        if cls_code_of word <> 3 && to_d_of word then begin
-          Prelude.Bitset.iter_word tick_ub mask;
-          if not (to_m_of word) then Prelude.Bitset.iter_word tick_lb mask
-        end);
+    let bounds = lane_bounds ~n b in
     w.w_state <- Some (Routing.Incremental.Topo.snapshot ~n b);
-    let sources = n - 2 in
-    Array.iteri
-      (fun l j ->
-        vals.(j) <-
-          {
-            lb = Prelude.Stats.fraction lb.(l) sources;
-            ub = Prelude.Stats.fraction ub.(l) sources;
-          })
-      w.w_pos
-
-  let mean pairs vals =
-    let total = Array.length pairs in
-    if total = 0 then { lb = 0.; ub = 0. }
-    else begin
-      let lb = ref 0. and ub = ref 0. in
-      Array.iter
-        (fun b ->
-          lb := !lb +. b.lb;
-          ub := !ub +. b.ub)
-        vals;
-      { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
-    end
+    Array.iteri (fun l j -> vals.(j) <- bounds.(l)) w.w_pos
 
   let eval t =
     let vals =
@@ -768,7 +738,7 @@ module Replay = struct
         words_solved = t.r_st.words_solved + Array.length t.r_words;
         lanes_solved = t.r_st.lanes_solved + !lanes;
       };
-    mean t.r_pairs vals
+    mean vals
 
   let step t delta =
     let vals =
@@ -814,7 +784,7 @@ module Replay = struct
         lanes_solved = t.r_st.lanes_solved + !lanes_solved;
         lanes_carried = t.r_st.lanes_carried + !lanes_carried;
       };
-    mean t.r_pairs vals
+    mean vals
 
   let values t =
     match t.r_vals with

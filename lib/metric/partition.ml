@@ -274,36 +274,33 @@ let count ?ws g policy ~attacker ~dst =
    attacked solve, so one batched drain classifies every lane.  The
    fold skips class-3 (root) groups — the destination everywhere and
    each lane's own attacker in its lane, exactly the per-lane excluded
-   sources — and counts the rest per flag pair; an AS with no group in
-   a lane is unreached there, so [unreachable] is the remainder.
-   Counts are bit-identical to per-attacker {!count}. *)
+   sources — and adds each other group's lane mask to the counter of
+   its flag pair; an AS with no group in a lane is unreached there, so
+   [unreachable] is the remainder.  Counts are bit-identical to
+   per-attacker {!count}. *)
 let sec3_count_batch ?ws g policy ~dst ~attackers =
   (match (policy : Routing.Policy.t).model with
   | Security_third -> ()
   | Security_first | Security_second ->
       invalid_arg "Partition.sec3_count_batch: policy is not security 3rd");
   let n = Topology.Graph.n g in
-  let lanes = Array.length attackers in
-  let doomed = Array.make lanes 0
-  and protectable = Array.make lanes 0
-  and immune = Array.make lanes 0 in
+  let counter () = Prelude.Lane_counter.create ~max_count:n in
+  let doomed = counter () and protectable = counter () and immune = counter () in
   let b =
     Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst ~attackers
   in
   Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
       let open Routing.Engine.Packed in
-      if cls_code_of word <> 3 then begin
-        let tally =
-          if to_d_of word then
-            if to_m_of word then Some protectable else Some immune
-          else if to_m_of word then Some doomed
-          else None
-        in
-        match tally with
-        | Some t -> Prelude.Bitset.iter_word (fun l -> t.(l) <- t.(l) + 1) mask
-        | None -> ()
-      end);
-  let sources = n - 2 in
+      if cls_code_of word <> 3 then
+        if to_d_of word then
+          Prelude.Lane_counter.add
+            (if to_m_of word then protectable else immune)
+            mask
+        else if to_m_of word then Prelude.Lane_counter.add doomed mask);
+  let lanes = Array.length attackers and sources = n - 2 in
+  let doomed = Prelude.Lane_counter.to_array doomed ~lanes
+  and protectable = Prelude.Lane_counter.to_array protectable ~lanes
+  and immune = Prelude.Lane_counter.to_array immune ~lanes in
   Array.init lanes (fun l ->
       {
         doomed = doomed.(l);

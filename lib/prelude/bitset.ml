@@ -55,13 +55,24 @@ let popcount_word w0 =
   let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
   go w0 0
 
-let iter_word f w0 =
-  let w = ref w0 in
-  while !w <> 0 do
-    let b = !w land - !w in
-    f (popcount_word (b - 1));
-    w := !w lxor b
-  done
+(* Index of a one-bit word in O(1): 2 is a primitive root mod 67, so
+   2^k mod 67 is distinct for k = 0..61 and never 0.  Bit 62 is
+   [min_int], negative, so the sign bit is masked off first and bit 62
+   lands alone in slot 0. *)
+let bit_index =
+  let slot k = ((1 lsl k) land max_int) mod 67 in
+  let rec find r k = if k >= word_bits || slot k = r then k else find r (k + 1) in
+  (* Slots no bit reaches (4 of 67) are never read; they hold 63. *)
+  Array.init 67 (fun r -> find r 0)
+
+let rec iter_bits f base w =
+  if w <> 0 then begin
+    let b = w land -w in
+    f (base + bit_index.((b land max_int) mod 67));
+    iter_bits f base (w lxor b)
+  end
+
+let iter_word f w = iter_bits f 0 w
 
 let get_word t j =
   if j < 0 || j >= Array.length t.words then
@@ -77,10 +88,7 @@ let fold_words f t init =
 
 let iter_set f t =
   for j = 0 to Array.length t.words - 1 do
-    let w = t.words.(j) in
-    if w <> 0 then
-      let base = j * word_bits in
-      iter_word (fun b -> f (base + b)) w
+    iter_bits f (j * word_bits) t.words.(j)
   done
 
 let iter = iter_set

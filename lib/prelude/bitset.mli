@@ -51,8 +51,10 @@ val fold_words : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_set : (int -> unit) -> t -> unit
 (** [iter_set f t] applies [f] to every member in ascending order.
     Cost is O(words + cardinal), not O(length): zero words are skipped
-    whole and set bits are extracted with [w land (-w)], which is what
-    makes sparse iteration over a large universe cheap. *)
+    whole, and each set bit costs O(1) — it is extracted with
+    [w land (-w)] and its index read from a 67-entry table — which is
+    what makes sparse iteration over a large universe cheap.  Allocates
+    nothing beyond what [f] does. *)
 
 val union_into : into:t -> t -> unit
 (** [union_into ~into src] adds every member of [src] to [into], word
@@ -71,7 +73,9 @@ val popcount_word : int -> int
 val iter_word : (int -> unit) -> int -> unit
 (** [iter_word f w] applies [f] to the index of every set bit of the
     raw word [w] in ascending order (0 ≤ index ≤ 62).  Usable on lane
-    masks that never lived in a set. *)
+    masks that never lived in a set.  O(1) per set bit, whatever its
+    index.  To count lanes over many masks, {!Lane_counter.add} takes a
+    whole mask in amortized O(1) instead of one call per bit. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Alias of {!iter_set} (kept for callers of the byte-backed

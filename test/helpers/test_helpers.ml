@@ -10,9 +10,9 @@ let graph n edges = G.of_edges ~n edges
 (* Random annotated AS graph: node 0 is the top of the hierarchy; every
    other node takes at least one provider with a smaller id, so the graph
    is connected and the hierarchy acyclic by construction.  Random peer
-   edges are sprinkled on top. *)
-let random_graph rng ~max_n =
-  let n = 3 + Core.Rng.int rng (max_n - 2) in
+   edges are sprinkled on top.  The size is uniform in [min_n .. max_n]. *)
+let random_graph ?(min_n = 3) rng ~max_n =
+  let n = min_n + Core.Rng.int rng (max_n - min_n + 1) in
   let edges = ref [] in
   let seen = Hashtbl.create 16 in
   let key a b = if a < b then (a, b) else (b, a) in

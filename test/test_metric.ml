@@ -430,6 +430,55 @@ let test_sec3_count_batch =
         attackers;
       !ok)
 
+(* One full 63-lane word (lane 62 is the sign bit of the lane masks) on
+   graphs of 70+ ASes, so per-lane counts carry into high planes of the
+   lane counters: the batched h_metric, the replay's per-pair values and
+   the batched partition counts must all equal their per-pair scalar
+   folds bit for bit. *)
+let test_full_word_identity =
+  qtest "full 63-lane word = per-pair scalar folds" ~count:30 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph ~min_n:70 rng ~max_n:110 in
+      let n = Graph.n g in
+      let dst = Rng.int rng n in
+      let attackers =
+        Array.map
+          (fun m -> if m >= dst then m + 1 else m)
+          (Rng.sample_without_replacement rng Batch.max_lanes (n - 1))
+      in
+      let pairs = Array.map (fun m -> { Metric.attacker = m; dst }) attackers in
+      let dep = random_deployment rng n in
+      let policy = random_policy rng in
+      let want = Array.map (Metric.pair_bounds g policy dep) pairs in
+      let bits_equal a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let same (a : Metric.bounds) (b : Metric.bounds) =
+        bits_equal a.lb b.lb && bits_equal a.ub b.ub
+      in
+      let lb = ref 0. and ub = ref 0. in
+      Array.iter
+        (fun b ->
+          lb := !lb +. b.Metric.lb;
+          ub := !ub +. b.Metric.ub)
+        want;
+      let total = float_of_int (Array.length pairs) in
+      let scalar = { Metric.lb = !lb /. total; ub = !ub /. total } in
+      let rp = Metric.Replay.create g policy dep pairs in
+      let replayed = Metric.Replay.eval rp in
+      let sec3 =
+        Policy.make
+          ~lp:(if Rng.bool rng then Policy.Standard else Policy.Lp_k 2)
+          Policy.Security_third
+      in
+      let counts = Partition.sec3_count_batch g sec3 ~dst ~attackers in
+      same (Metric.h_metric g policy dep pairs) scalar
+      && same replayed scalar
+      && Array.for_all2 same (Metric.Replay.values rp) want
+      && Array.for_all2
+           (fun m c -> Partition.count g sec3 ~attacker:m ~dst = c)
+           attackers counts)
+
 let () =
   Alcotest.run "metric"
     [
@@ -447,6 +496,7 @@ let () =
           test_baseline_model_independent;
           test_batched_h_metric_identity;
           test_batch_plan;
+          test_full_word_identity;
         ] );
       ( "partitions",
         [

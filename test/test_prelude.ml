@@ -186,6 +186,83 @@ let test_bitset_raw_words () =
     (bits (1 lor (1 lsl 5) lor (1 lsl 62)));
   Alcotest.(check (list int)) "iter_word empty" [] (bits 0)
 
+(* [iter_word] against a naive scan of bits 0..62, on random full-width
+   words (sign bit included) and on the extreme patterns. *)
+let test_iter_word_vs_scan =
+  let naive w =
+    List.filter (fun b -> w land (1 lsl b) <> 0) (List.init Bitset.word_bits Fun.id)
+  in
+  let bits w =
+    let acc = ref [] in
+    Bitset.iter_word (fun b -> acc := b :: !acc) w;
+    List.rev !acc
+  in
+  Test_helpers.qtest "iter_word = naive bit scan" ~count:500 (fun seed ->
+      let rng = Rng.create seed in
+      let random = Int64.to_int (Rng.bits64 rng) in
+      (* Sparse words too: the AND of three draws keeps ~1/8 of the bits. *)
+      let sparse =
+        random land Int64.to_int (Rng.bits64 rng)
+        land Int64.to_int (Rng.bits64 rng)
+      in
+      List.for_all
+        (fun w -> bits w = naive w)
+        [ random; sparse; 0; -1; min_int; max_int; 1 ])
+
+(* The bit-sliced counter against per-lane ints: lanes 0 and 62 (the
+   sign bit) are driven through every power-of-two boundary up to
+   [max_count], each add checked on every lane, then overflow, clear and
+   the range checks. *)
+let test_lane_counter () =
+  let max_count = 1 lsl 10 in
+  let c = Lane_counter.create ~max_count in
+  let model = Array.make Bitset.word_bits 0 in
+  let add mask =
+    Lane_counter.add c mask;
+    Bitset.iter_word (fun l -> model.(l) <- model.(l) + 1) mask
+  in
+  let agree () = Lane_counter.to_array c ~lanes:Bitset.word_bits = model in
+  let ok = ref true in
+  for i = 1 to max_count do
+    (* Lane 62 every step, lane 0 on odd steps, lane 31 on every third. *)
+    let mask =
+      min_int lor (if i land 1 = 1 then 1 else 0)
+      lor if i mod 3 = 0 then 1 lsl 31 else 0
+    in
+    add mask;
+    if not (agree ()) then ok := false
+  done;
+  Alcotest.(check bool) "every add agrees with the model" true !ok;
+  Alcotest.(check int) "lane 62 reaches max_count" max_count
+    (Lane_counter.get c 62);
+  Alcotest.(check int) "lane 0" (max_count / 2) (Lane_counter.get c 0);
+  Alcotest.(check int) "lane 31" (max_count / 3) (Lane_counter.get c 31);
+  Alcotest.(check int) "untouched lane" 0 (Lane_counter.get c 5);
+  Alcotest.check_raises "carry past max_count"
+    (Invalid_argument "Lane_counter.add: count exceeds max_count") (fun () ->
+      for _ = 1 to max_count do
+        Lane_counter.add c min_int
+      done);
+  Lane_counter.clear c;
+  Alcotest.(check (array int)) "clear" (Array.make 63 0)
+    (Lane_counter.to_array c ~lanes:63);
+  Lane_counter.add c (-1);
+  Alcotest.(check (array int)) "full mask" (Array.make 63 1)
+    (Lane_counter.to_array c ~lanes:63);
+  Alcotest.check_raises "zero planes"
+    (Invalid_argument "Lane_counter.add: count exceeds max_count") (fun () ->
+      Lane_counter.add (Lane_counter.create ~max_count:0) 1);
+  Lane_counter.add (Lane_counter.create ~max_count:0) 0;
+  Alcotest.check_raises "lane out of range"
+    (Invalid_argument "Lane_counter.get: lane out of range") (fun () ->
+      ignore (Lane_counter.get c 63));
+  Alcotest.check_raises "lanes out of range"
+    (Invalid_argument "Lane_counter.to_array: lanes out of range") (fun () ->
+      ignore (Lane_counter.to_array c ~lanes:64));
+  Alcotest.check_raises "negative max_count"
+    (Invalid_argument "Lane_counter.create: max_count < 0") (fun () ->
+      ignore (Lane_counter.create ~max_count:(-1)))
+
 let test_bitset_word_bounds () =
   let s = Bitset.create 10 and tiny = Bitset.create 9 in
   Alcotest.check_raises "get_word out of bounds"
@@ -253,6 +330,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "raw words" `Quick test_bitset_raw_words;
           Alcotest.test_case "word bounds" `Quick test_bitset_word_bounds;
+          test_iter_word_vs_scan;
+          Alcotest.test_case "lane counter" `Quick test_lane_counter;
           test_bitset_vs_reference;
           test_bitset_words_vs_model;
         ] );
