@@ -650,11 +650,10 @@ module Replay = struct
      destination-major into the same ≤63-lane words as {!batched_map};
      each word retains the frozen group state of its last solve
      ({!Routing.Incremental.Topo.word_state}), and a step re-solves only
-     the words the two-stage topology cone cannot prove untouched —
-     stage 1 the overlay reachability cone, stage 2 the per-word
-     influence test against the frozen state.  Carried words keep their
-     bounds bit-for-bit (a clean verdict is a bit-identity guarantee,
-     which the [topology] check pass enforces against scratch solves).
+     the words the per-word influence test against that frozen state
+     cannot prove untouched.  Carried words keep their bounds
+     bit-for-bit (a clean verdict is a bit-identity guarantee, which the
+     [topology] check pass enforces against scratch solves).
 
      Execution is sequential by design: the per-domain batch workspace
      is reused word to word (the frozen state is copied out before the
@@ -747,23 +746,13 @@ module Replay = struct
       | None -> invalid_arg "Replay.step: eval the starting graph first"
     in
     let old_g = t.r_g in
-    let cone = Routing.Incremental.Topo.cone old_g delta in
     (* [apply] validates the delta; from here on a clean word verdict is
        a bit-identity guarantee against a scratch solve on [new_g]. *)
-    let new_g = Topology.Graph.Delta.apply old_g delta in
-    t.r_g <- new_g;
+    t.r_g <- Topology.Graph.Delta.apply old_g delta;
     let solved = ref 0 and lanes_solved = ref 0 and lanes_carried = ref 0 in
     Array.iter
       (fun w ->
-        let coarse =
-          Routing.Incremental.Topo.cone_dirty_dst cone w.w_dst
-          || Array.exists
-               (fun m -> Routing.Incremental.Topo.cone_dirty_dst cone m)
-               w.w_attackers
-        in
         let dirty =
-          coarse
-          &&
           match w.w_state with
           | None -> true
           | Some st ->

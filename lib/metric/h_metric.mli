@@ -255,12 +255,12 @@ end
     Pairs are grouped destination-major into words of at most
     {!Routing.Batch.max_lanes} attackers, exactly as {!h_metric}'s
     batched path.  Each word retains the frozen group state of its last
-    batched solve; {!Replay.step} re-solves only the words the two-stage
-    topology cone ({!Routing.Incremental.Topo}) cannot prove untouched
-    and carries every other word's bounds bit-for-bit.  Results are
-    bit-identical to a from-scratch {!h_metric} on the stepped graph for
-    every step, model and tiebreak — the [topology] check pass and the
-    qcheck delta-soundness properties enforce this. *)
+    batched solve; {!Replay.step} re-solves only the words the per-word
+    influence test ({!Routing.Incremental.Topo.influenced}) cannot prove
+    untouched and carries every other word's bounds bit-for-bit.
+    Results are bit-identical to a from-scratch {!h_metric} on the
+    stepped graph for every step, model and tiebreak — the [topology]
+    check pass and the qcheck delta-soundness properties enforce this. *)
 module Replay : sig
   type t
 
@@ -269,7 +269,7 @@ module Replay : sig
     words_solved : int;  (** batched solves run, priming included *)
     lanes_solved : int;
         (** engine evaluations: one lane is one (attacker, dst) stable
-            state, the denominator of the ≥5x replay acceptance gate *)
+            state *)
     lanes_carried : int;  (** lane bounds carried without solving *)
   }
 

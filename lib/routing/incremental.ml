@@ -129,32 +129,20 @@ let dirty_pair t ~attacker ~dst =
 let counts t = (t.n_clean, t.n_dirty)
 
 module Topo = struct
-  (* Dirty cones for *topology* deltas (link add / remove / relationship
-     flip), two-stage:
+  (* Dirty verdicts for *topology* deltas (link add / remove /
+     relationship flip), one destination word at a time.
 
-     Stage 1 (cone): a pair (m, d) can only change if some perceivable
-     route toward d or toward m transits a changed pair.  A route
-     transiting the changed pair {a, b} gives both endpoints a
-     perceivable route to its root, and valley-free perceivable
-     reachability is symmetric (a one-hop-peer/climb/descend path
-     reverses into the same shape), so the root lies in the endpoint's
-     closure.  The affected set is the union over endpoints e of
-     {e} ∪ Reach_old(e) ∪ Reach_new(e), the new closure computed over
-     the delta {!Topology.Graph.overlay} so the edited graph is never
-     materialized.  On Internet-like graphs this set is close to
-     everything (up-peer-down reaches almost everyone), hence:
-
-     Stage 2 (influence): against the frozen batched stable state of one
-     destination word, every changed edge is re-offered in both
-     directions exactly as the kernel's expand/relax would.  The word is
-     clean when every such offer is inadmissible under Ex, over the
-     length bound, or *strictly* loses the rank compare against the
-     state of every lane it overlaps — strictly-losing offers leave the
-     label-setting fixed point (flags, parents, everything) untouched,
-     removing strictly-losing offers likewise, and the fixed point is
-     unique because rank is strictly monotone along extensions.  A tie
-     is dirty (tie aggregation reads flags and parents); an offer into a
-     lane with no state at the target is dirty (a new route appears).
+     Against the frozen batched stable state of one destination word,
+     every changed edge is re-offered in both directions exactly as the
+     kernel's expand/relax would.  The word is clean when every such
+     offer is inadmissible under Ex, over the length bound, or
+     *strictly* loses the rank compare against the state of every lane
+     it overlaps — strictly-losing offers leave the label-setting fixed
+     point (flags, parents, everything) untouched, removing
+     strictly-losing offers likewise, and the fixed point is unique
+     because rank is strictly monotone along extensions.  A tie is dirty
+     (tie aggregation reads flags and parents); an offer into a lane
+     with no state at the target is dirty (a new route appears).
      Distinct-pair deltas compose: each op is tested against the same
      frozen state, and a clean verdict for all ops means that state
      still satisfies every AS's fixed-point equation on the edited
@@ -165,7 +153,14 @@ module Topo = struct
      losers), skipping the reverse direction of a removed edge (the
      survivor's own route may ride the edge), and evaluating offers
      against an attacker-free tree (an attacker shortcut can lower ranks
-     below the attacker-free ones). *)
+     below the attacker-free ones).
+
+     [cone] is kept as a diagnostic only.  A pair (m, d) can change only
+     if some perceivable route toward d or m transits a changed pair,
+     and valley-free perceivable reachability is symmetric, so the root
+     lies in an endpoint's closure.  On Internet-like graphs that set is
+     every AS (up-peer-down reaches almost everyone), and computing it
+     cost more than the influence tests it could skip. *)
 
   type cone = { affected : Prelude.Bitset.t; card : int }
 
@@ -183,9 +178,6 @@ module Topo = struct
     { affected; card = Prelude.Bitset.cardinal affected }
 
   let cone_dirty_dst c d = Prelude.Bitset.mem c.affected d
-
-  let cone_dirty_pair c ~attacker ~dst =
-    Prelude.Bitset.mem c.affected dst || Prelude.Bitset.mem c.affected attacker
 
   let cone_card c = c.card
 

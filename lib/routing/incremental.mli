@@ -57,35 +57,38 @@ val dirty_pair : t -> attacker:int -> dst:int -> bool
 val counts : t -> int * int
 (** [(clean, dirty)] destination counts over the requested set. *)
 
-(** Dirty cones for {e topology} deltas (link add / remove / flip),
-    two-stage.  Stage 1 ({!Topo.cone}) bounds which roots any changed
-    pair can influence via perceivable-reachability closures, the
-    post-delta side computed over a {!Topology.Graph.overlay} so the
-    edited graph is never materialized; on Internet-like graphs that
-    cone is close to everything, so stage 2 ({!Topo.influenced})
-    re-offers every changed edge, in both directions, against the frozen
-    batched stable state of one destination word and reports clean only
-    when every offer is inadmissible, over the length bound, or
-    {e strictly} loses the rank compare at every lane it overlaps —
-    exactly the condition under which the label-setting fixed point
-    (flags and parents included) provably cannot move.  Ties are dirty
-    by design; the deliberately rejected shortcuts are documented in
-    DESIGN.md §15.  A clean verdict is sound (bit-identical outcome,
-    both tiebreaks, every model); dirty is conservative, and the
-    delta-vs-scratch identity gate of [sbgp check --topology] enforces
-    soundness end to end. *)
+(** Dirty verdicts for {e topology} deltas (link add / remove / flip),
+    one destination word at a time.  {!Topo.influenced} re-offers every
+    changed edge, in both directions, against the frozen batched stable
+    state of the word and reports clean only when every offer is
+    inadmissible, over the length bound, or {e strictly} loses the rank
+    compare at every lane it overlaps — exactly the condition under
+    which the label-setting fixed point (flags and parents included)
+    provably cannot move.  Ties are dirty by design; the deliberately
+    rejected shortcuts are documented in DESIGN.md §15.  A clean verdict
+    is sound (bit-identical outcome, both tiebreaks, every model); dirty
+    is conservative, and the delta-vs-scratch identity gate of
+    [sbgp check --topology] enforces soundness end to end.
+
+    {!Topo.cone} is a diagnostic, not a filter: the reachability bound
+    on the roots a delta could touch.  On Internet-like graphs it covers
+    every AS, so no replay path consults it. *)
 module Topo : sig
   type cone
 
   val cone : Topology.Graph.t -> Topology.Graph.Delta.t -> cone
-  (** Affected-root set of the delta against this (pre-delta) graph:
-      two {!Reach} closures per delta endpoint, O(edges) each. *)
+  (** Diagnostic: the roots the delta could influence, bounded by
+      reachability — [{e} ∪ Reach_old(e) ∪ Reach_new(e)] over every
+      delta endpoint [e], the post-delta closure computed over a
+      {!Topology.Graph.overlay}.  Two {!Reach} closures per endpoint,
+      O(edges) each.  Every word {!influenced} marks dirty has its
+      destination or an attacker in this set. *)
 
   val cone_dirty_dst : cone -> int -> bool
-  val cone_dirty_pair : cone -> attacker:int -> dst:int -> bool
+  (** Whether the AS lies in the {!cone}. *)
 
   val cone_card : cone -> int
-  (** Size of the affected set (diagnostics: how blunt stage 1 was). *)
+  (** Size of the {!cone} (diagnostics: how blunt reachability is). *)
 
   type word_state
   (** Frozen stable state of one destination word: per AS, its fixed

@@ -314,6 +314,197 @@ let prop_replay_exact seed =
     end
   end
 
+(* ---- The per-word influence test on its own ----------------------- *)
+
+(* Every field a decoded lane exposes, next hop and happiness included:
+   a clean verdict promises the whole lane is bit-identical. *)
+let lane_mismatch a b =
+  match outcome_mismatch a b with
+  | Some _ as m -> m
+  | None ->
+      let rec go v =
+        if v >= Core.Outcome.n a then None
+        else if Core.Outcome.next_hop a v <> Core.Outcome.next_hop b v then
+          Some (Printf.sprintf "AS %d: next hop differs" v)
+        else if
+          Core.Outcome.happy_lb a v <> Core.Outcome.happy_lb b v
+          || Core.Outcome.happy_ub a v <> Core.Outcome.happy_ub b v
+        then Some (Printf.sprintf "AS %d: happiness differs" v)
+        else go (v + 1)
+      in
+      go 0
+
+(* Security 1st/2nd/3rd, each under standard LP and LP-2. *)
+let influence_policies =
+  List.concat_map
+    (fun lp ->
+      List.map (fun model -> Core.Policy.make ~lp model) Core.Policy.all_models)
+    [ Core.Policy.Standard; Core.Policy.Lp_k 2 ]
+
+(* Removal of an edge some lane's route rides: a random (lane, AS) whose
+   representative next hop is a graph neighbor (roots excluded). *)
+let ridden_removal rng g outs ~attackers =
+  let cands = ref [] in
+  Array.iteri
+    (fun lane out ->
+      for v = 0 to Core.Outcome.n out - 1 do
+        let p = Core.Outcome.next_hop out v in
+        if v <> attackers.(lane) && p >= 0 then
+          match Core.Graph.relationship g v p with
+          | Some e -> cands := e :: !cands
+          | None -> ()
+      done)
+    outs;
+  match !cands with
+  | [] -> None
+  | cs ->
+      let cs = Array.of_list cs in
+      Some [| Core.Graph.Delta.Remove cs.(Core.Rng.int rng (Array.length cs)) |]
+
+(* A random customer-provider link between a non-adjacent pair, lower
+   id as provider, as in [random_graph]. *)
+let random_attach rng g =
+  let n = Core.Graph.n g in
+  let a = Core.Rng.int rng n and b = Core.Rng.int rng n in
+  if a = b || Core.Graph.relationship g a b <> None then None
+  else Some [| Core.Graph.Delta.Add (c2p (max a b) (min a b)) |]
+
+(* One random destination word of up to [max_lanes] attackers, solved
+   under every influence policy and both tiebreaks, and judged against
+   the full random delta (flips, a removal, a peering), each of its ops
+   alone, a new customer-provider link, and the removal of an edge a
+   lane's route rides — which must always be dirty, since the rider's
+   own offer ties its state.  A quarter of the edges are dropped first,
+   so some ASes start unreached and an added link can create a route.
+   [check] sees every verdict; returns whether every check held plus
+   the clean and dirty verdict counts. *)
+let influence_case ~max_lanes seed check =
+  let rng = Core.Rng.create seed in
+  let g = random_graph rng ~max_n:24 in
+  let n = Core.Graph.n g in
+  let g =
+    graph n
+      (List.filter (fun _ -> Core.Rng.int rng 4 <> 0) (Core.Graph.edges g))
+  in
+  let dep = random_deployment rng n in
+  let dst = Core.Rng.int rng n in
+  let attackers =
+    let others =
+      Array.of_list (List.filter (( <> ) dst) (List.init n Fun.id))
+    in
+    let k = 1 + Core.Rng.int rng (min max_lanes (n - 1)) in
+    Array.map
+      (fun i -> others.(i))
+      (Core.Rng.sample_without_replacement rng k (n - 1))
+  in
+  let random = random_delta rng g in
+  let deltas =
+    (random :: Array.to_list (Array.map (fun op -> [| op |]) random))
+    @ Option.to_list (random_attach rng g)
+  in
+  let solve g policy tiebreak =
+    Core.Batch.compute ~tiebreak ~ws:(Core.Batch.Workspace.create n) g policy
+      dep ~dst ~attackers
+  in
+  let ok = ref true and clean = ref 0 and dirty = ref 0 in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun tiebreak ->
+          let b = solve g policy tiebreak in
+          let st = Core.Incremental.Topo.snapshot ~n b in
+          let before =
+            Array.mapi (fun lane _ -> Core.Batch.decode b ~lane) attackers
+          in
+          let verdict delta =
+            Core.Incremental.Topo.influenced st dep policy ~old_graph:g ~delta
+          in
+          let judge delta =
+            let influenced = verdict delta in
+            if influenced then incr dirty else incr clean;
+            let after () =
+              solve (Core.Graph.Delta.apply g delta) policy tiebreak
+            in
+            if
+              not
+                (check ~g ~policy ~dst ~attackers ~before ~after ~delta
+                   ~influenced)
+            then ok := false
+          in
+          List.iter judge deltas;
+          match ridden_removal rng g before ~attackers with
+          | None -> ()
+          | Some delta ->
+              if not (verdict delta) then begin
+                Printf.eprintf
+                  "seed %d %s: ridden-edge removal judged clean\n%!" seed
+                  (Core.Policy.name policy);
+                ok := false
+              end;
+              judge delta)
+        [ Core.Engine.Bounds; Core.Engine.Lowest_next_hop ])
+    influence_policies;
+  (!ok, !clean, !dirty)
+
+(* Soundness of the influence test with no reachability pre-filter: a
+   clean verdict means re-solving the word on the applied graph decodes
+   to bit-identical lanes. *)
+let influence_sound ~g:_ ~policy ~dst ~attackers:_ ~before ~after ~delta:_
+    ~influenced =
+  influenced
+  || begin
+       let b' = after () in
+       let same = ref true in
+       Array.iteri
+         (fun lane out ->
+           match lane_mismatch out (Core.Batch.decode b' ~lane) with
+           | None -> ()
+           | Some msg ->
+               Printf.eprintf "%s d=%d lane %d: clean word changed: %s\n%!"
+                 (Core.Policy.name policy) dst lane msg;
+               same := false)
+         before;
+       !same
+     end
+
+let prop_influence_sound seed =
+  let ok, _, _ = influence_case ~max_lanes:23 seed influence_sound in
+  ok
+
+(* Both verdicts occur over a fixed seed range, so the soundness
+   property above is not vacuously true. *)
+let test_influence_not_vacuous () =
+  let clean = ref 0 and dirty = ref 0 in
+  for seed = 0 to 39 do
+    let ok, c, d = influence_case ~max_lanes:23 seed influence_sound in
+    Alcotest.(check bool) (Printf.sprintf "seed %d sound" seed) true ok;
+    clean := !clean + c;
+    dirty := !dirty + d
+  done;
+  Alcotest.(check bool) "some clean verdicts" true (!clean > 0);
+  Alcotest.(check bool) "some dirty verdicts" true (!dirty > 0)
+
+(* Redundancy of the reachability cone: every word the influence test
+   marks dirty has its destination or an attacker inside
+   [Topo.cone], so the cone never turned a dirty verdict clean and
+   dropping it from replay changes no verdict.  Few lanes, so the cone
+   test is not trivially met by an attacker at a delta endpoint. *)
+let prop_influence_within_cone seed =
+  let within ~g ~policy ~dst ~attackers ~before:_ ~after:_ ~delta ~influenced =
+    (not influenced)
+    ||
+    let cone = Core.Incremental.Topo.cone g delta in
+    let inside = Core.Incremental.Topo.cone_dirty_dst cone in
+    inside dst || Array.exists inside attackers
+    || begin
+         Printf.eprintf "%s d=%d: dirty word outside the cone\n%!"
+           (Core.Policy.name policy) dst;
+         false
+       end
+  in
+  let ok, _, _ = influence_case ~max_lanes:3 seed within in
+  ok
+
 let () =
   Alcotest.run "incremental"
     [
@@ -343,5 +534,11 @@ let () =
         [
           qtest "replay matches scratch (3 models, both bounds)" ~count:40
             prop_replay_exact;
+          qtest "influence-clean words re-solve bit-identically" ~count:60
+            prop_influence_sound;
+          Alcotest.test_case "influence verdicts are not all one way" `Quick
+            test_influence_not_vacuous;
+          qtest "influenced words lie inside the reachability cone" ~count:60
+            prop_influence_within_cone;
         ] );
     ]

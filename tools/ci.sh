@@ -18,6 +18,14 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== benchmark binary (release build)"
+# The paper-scale benchmark links the library from its own release
+# build, exactly as perfbench/run.py builds it: a library API change
+# that breaks perfbench/bench.ml must fail here, not first in a
+# benchmark run.
+dune build --root . --build-dir .bench_build --profile release \
+  ./perfbench/bench.exe
+
 echo "== opam lint"
 if command -v opam >/dev/null 2>&1; then
   opam lint sbgp.opam
