@@ -190,24 +190,10 @@ let exp_cmd =
              check`) before running anything, and abort on errors.  Also \
              enabled by SBGP_CHECK=1 in the environment.")
   in
-  let batch_arg =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "batch" ] ~docv:"BOOL"
-          ~doc:
-            "Force the destination-major batched routing kernel on or off \
-             for metric evaluation (default: on).  Equivalent to setting \
-             the SBGP_BATCH environment variable; results are bit-identical \
-             either way.")
-  in
-  let run n seed ixp scale domains graph_file out_dir check batch which =
+  let run n seed ixp scale domains graph_file out_dir check which =
     (match out_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
-    (match batch with
-    | Some b -> Unix.putenv "SBGP_BATCH" (if b then "1" else "0")
-    | None -> ());
     let ctx = context n seed ixp scale domains graph_file in
     Printf.printf "context: %s\n\n%!" (Core.Experiments.Context.describe ctx);
     if check || Core.Check.enabled () then begin
@@ -240,7 +226,7 @@ let exp_cmd =
        ~doc:"Run one or more experiments (all of them by default).")
     Term.(
       const run $ n_arg $ seed_arg $ ixp_arg $ scale_arg $ domains_arg
-      $ graph_arg $ out_dir $ check_flag $ batch_arg $ which)
+      $ graph_arg $ out_dir $ check_flag $ which)
 
 let check_cmd =
   let pairs_arg =
@@ -341,8 +327,7 @@ let check_cmd =
           ~doc:
             "Run only the allocation gate: minor words per (destination, \
              attacker) pair of the scalar, batched and reference kernels \
-             with reused workspaces, measured against recorded budgets \
-             (override with SBGP_ALLOC_BUDGET_{SCALAR,BATCH,REFERENCE}); \
+             with reused workspaces, measured against recorded budgets; \
              every measured loop is identity-gated and a cold-vs-warm \
              probe of the metric cache demands bit-identical H.  Runs \
              single-domain — the dynamic complement of the static \

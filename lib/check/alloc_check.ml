@@ -6,8 +6,8 @@
    inlining, [@inline] hints, unboxing, Simplif's reference elimination
    (DESIGN.md §16).  Three kernels are replayed single-domain over a
    deterministic pair sample with reused workspaces, and the observed
-   [Gc.minor_words] per pair is compared against a recorded budget
-   (env-overridable, SBGP_ALLOC_BUDGET_{SCALAR,BATCH,REFERENCE}).
+   [Gc.minor_words] per pair is compared against the recorded
+   [default_budgets].
 
    Every measurement is identity-gated: the outcome produced inside the
    measured loop must be bit-identical to a fresh-buffer computation of
@@ -44,22 +44,6 @@ type budgets = { scalar : float; batch : float; reference : float }
    closure regression still trips it. *)
 let default_budgets = { scalar = 512.0; batch = 8.0; reference = 44.0 }
 
-let env_budget name fallback =
-  match Sys.getenv_opt name with
-  | None -> fallback
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 -> v
-      | _ -> fallback)
-
-let budgets () =
-  {
-    scalar = env_budget "SBGP_ALLOC_BUDGET_SCALAR" default_budgets.scalar;
-    batch = env_budget "SBGP_ALLOC_BUDGET_BATCH" default_budgets.batch;
-    reference =
-      env_budget "SBGP_ALLOC_BUDGET_REFERENCE" default_budgets.reference;
-  }
-
 let dep_mixed n =
   Deployment.of_modes
     (Array.init n (fun v ->
@@ -95,8 +79,7 @@ let identity_diag ~kernel detail =
        "%s kernel produced a different outcome inside the measured \
         allocation loop than with fresh buffers: %s" kernel detail)
 
-let analyze ?(budgets = budgets ()) ?(pairs = 24) ?tamper ?taint ~seed g
-    policies =
+let analyze ?(pairs = 24) ?tamper ?taint ~seed g policies =
   let n = G.n g in
   if n < 3 then (0, [])
   else begin
@@ -126,8 +109,8 @@ let analyze ?(budgets = budgets ()) ?(pairs = 24) ?tamper ?taint ~seed g
     in
     items := !items + k;
     let wpp = delta /. float_of_int k in
-    if wpp > budgets.scalar then
-      add (over ~kernel:"scalar" ~wpp ~budget:budgets.scalar ());
+    if wpp > default_budgets.scalar then
+      add (over ~kernel:"scalar" ~wpp ~budget:default_budgets.scalar ());
     (let dst, attacker = sample.(0) in
      let got = E.compute ~ws g policy dep ~dst ~attacker in
      let want = E.compute g policy dep ~dst ~attacker in
@@ -151,8 +134,8 @@ let analyze ?(budgets = budgets ()) ?(pairs = 24) ?tamper ?taint ~seed g
     let bdelta = measure (fun () -> for _ = 1 to reps do run_batch () done) in
     items := !items + (reps * lanes);
     let bwpp = bdelta /. float_of_int (reps * lanes) in
-    if bwpp > budgets.batch then
-      add (over ~kernel:"batch" ~wpp:bwpp ~budget:budgets.batch ());
+    if bwpp > default_budgets.batch then
+      add (over ~kernel:"batch" ~wpp:bwpp ~budget:default_budgets.batch ());
     (let b = B.compute ~ws:bws g policy dep ~dst:dst0 ~attackers in
      let got = B.decode b ~lane:0 in
      let want = E.compute g policy dep ~dst:dst0 ~attacker:(Some attackers.(0)) in
@@ -176,10 +159,10 @@ let analyze ?(budgets = budgets ()) ?(pairs = 24) ?tamper ?taint ~seed g
     (* The reference kernel is list-based and allocates O(n) per pair by
        design; normalizing by n keeps its budget scale-free. *)
     let rwpp = rdelta /. float_of_int (rk * n) in
-    if rwpp > budgets.reference then
+    if rwpp > default_budgets.reference then
       add
         (over ~unit:"minor words/pair/AS" ~kernel:"reference" ~wpp:rwpp
-           ~budget:budgets.reference ());
+           ~budget:default_budgets.reference ());
 
     (* --- cold-vs-warm cache consistency ----------------------------- *)
     let cache = M.Cache.create () in

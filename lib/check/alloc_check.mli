@@ -21,13 +21,7 @@ val default_budgets : budgets
     pair by design, so only the normalized rate is scale-free), with
     ~2x headroom over the measured steady state. *)
 
-val budgets : unit -> budgets
-(** {!default_budgets} with [SBGP_ALLOC_BUDGET_SCALAR], [_BATCH] and
-    [_REFERENCE] environment overrides applied (positive floats;
-    malformed values fall back to the default). *)
-
 val analyze :
-  ?budgets:budgets ->
   ?pairs:int ->
   ?tamper:(unit -> unit) ->
   ?taint:(Metric.H_metric.bounds -> Metric.H_metric.bounds) ->

@@ -112,4 +112,4 @@ val run_alloc : ?options:options -> Topology.Graph.t -> Diagnostic.report
 (** Only the allocation gate ([sbgp check --alloc]).  Deliberately not
     part of {!run}: the Gc counters are per-domain, so the measured
     loops want a process that has not shared its minor heap with pool
-    workers.  Budgets come from {!Alloc.budgets} (env-overridable). *)
+    workers.  Budgets are {!Alloc.default_budgets}. *)

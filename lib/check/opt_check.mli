@@ -17,7 +17,8 @@ val compare_results :
   Diagnostic.t list
 (** [compare_results ~label naive celf] — baseline bounds, achieved
     pick counts, and every common step's pick and bounds must agree
-    bitwise.  The bench reuses this as its identity gate. *)
+    bitwise.  The qcheck suite in test/test_optimize.ml reuses this as
+    its identity gate. *)
 
 val compare_instance :
   ?pool:Parallel.Pool.t ->

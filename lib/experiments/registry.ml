@@ -1,4 +1,5 @@
-(* Index of all experiments, used by the CLI and the benchmark harness. *)
+(* Index of all experiments, used by the CLI and the paper-scale
+   benchmark (perfbench/). *)
 
 type entry = {
   id : string;

@@ -1,4 +1,5 @@
-(** Index of every experiment, used by the CLI and the bench harness. *)
+(** Index of every experiment, used by the CLI and the paper-scale
+    benchmark (perfbench/). *)
 
 type entry = {
   id : string;

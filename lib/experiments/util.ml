@@ -25,31 +25,25 @@ let partition_counts ?pool pairs ~count_one =
   Array.fold_left Metric.Partition.add Metric.Partition.zero per_pair
 
 let partition_fractions ?pool g policy pairs =
-  let batched =
+  let total =
     (* Security 3rd classifies off one attacked solve, so pairs sharing
        a destination ride one batched drain; the other models derive
        the partition from reachability closures and stay per-pair. *)
     match (policy : Routing.Policy.t).model with
-    | Security_third -> Metric.H_metric.batch_enabled ()
-    | Security_first | Security_second -> false
-  in
-  let total =
-    if batched then begin
-      let items = Metric.H_metric.batch_plan pairs in
-      let per_item =
-        Parallel.map ?pool
-          (fun (dst, attackers, _pos) ->
-            Array.fold_left Metric.Partition.add Metric.Partition.zero
-              (Metric.Partition.sec3_count_batch
-                 ~ws:(Routing.Batch.Workspace.local ())
-                 g policy ~dst ~attackers))
-          items
-      in
-      Array.fold_left Metric.Partition.add Metric.Partition.zero per_item
-    end
-    else
-      partition_counts ?pool pairs ~count_one:(fun ~ws ~attacker ~dst ->
-          Metric.Partition.count ~ws g policy ~attacker ~dst)
+    | Security_third ->
+        let per_item =
+          Parallel.map ?pool
+            (fun (dst, attackers, _pos) ->
+              Array.fold_left Metric.Partition.add Metric.Partition.zero
+                (Metric.Partition.sec3_count_batch
+                   ~ws:(Routing.Batch.Workspace.local ())
+                   g policy ~dst ~attackers))
+            (Metric.H_metric.batch_plan pairs)
+        in
+        Array.fold_left Metric.Partition.add Metric.Partition.zero per_item
+    | Security_first | Security_second ->
+        partition_counts ?pool pairs ~count_one:(fun ~ws ~attacker ~dst ->
+            Metric.Partition.count ~ws g policy ~attacker ~dst)
   in
   Metric.Partition.fractions total
 

@@ -130,16 +130,8 @@ let pair_bounds ?ws g policy dep { attacker; dst } =
    lane's own attacker in that lane; every other AS either has an
    ordinary group containing the lane or is unreached (unhappy either
    way).  The counts — and via [Stats.fraction] the float bounds — are
-   bit-identical to [to_bounds (happy outcome)] on the scalar path. *)
-
-let batch_off_values = [ "0"; "false"; "no"; "off" ]
-
-let batch_enabled () =
-  match Sys.getenv_opt "SBGP_BATCH" with
-  | Some v ->
-      not
-        (List.exists (String.equal (String.lowercase_ascii v)) batch_off_values)
-  | None -> true
+   bit-identical to [to_bounds (happy outcome)] of a scalar
+   {!pair_bounds}. *)
 
 (* One work item: solve destination [bdst] for the attackers of the
    pairs at [bpos] (positions into the caller's index array). *)
@@ -409,97 +401,49 @@ let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
           ( (fun p -> Cache.find c policy g dep ~version p),
             fun p b -> Cache.store c policy g dep ~version p b )
     in
-    let compute_pair ws p =
-      match find p with
-      | Some b -> b
-      | None ->
-          let b = pair_bounds ~ws g policy dep p in
-          remember p b;
-          b
-    in
-    let use_pool =
-      match pool with
-      | Some p -> Parallel.Pool.size p > 1
-      | None -> domains > 1
-    in
-    let per_pair =
-      if batch_enabled () then begin
-        (* Destination-major batched path (default): pre-resolve the
-           cache per pair, then solve only the misses, whole attacker
-           words at a time.  Progress ticks in covered pairs from the
-           caller's share of the items. *)
-        let vals = Array.make total { lb = 0.; ub = 0. } in
-        let miss = ref [] in
-        let nmiss = ref 0 in
-        Array.iteri
-          (fun i p ->
-            match find p with
-            | Some b -> vals.(i) <- b
-            | None ->
-                miss := i :: !miss;
-                incr nmiss)
-          pairs;
-        (match progress with
+    (* Pre-resolve the cache per pair, then solve only the misses,
+       destination-major, whole attacker words at a time.  Progress
+       ticks in covered pairs from the caller's share of the items. *)
+    let vals = Array.make total { lb = 0.; ub = 0. } in
+    let miss = ref [] in
+    let nmiss = ref 0 in
+    Array.iteri
+      (fun i p ->
+        match find p with
+        | Some b -> vals.(i) <- b
+        | None ->
+            miss := i :: !miss;
+            incr nmiss)
+      pairs;
+    (match progress with
+    | Some f ->
+        for d = 1 to total - !nmiss do
+          f d total
+        done
+    | None -> ());
+    let idxs = Array.of_list (List.rev !miss) in
+    if Array.length idxs > 0 then begin
+      let caller_done = ref (total - !nmiss) in
+      let report =
+        match progress with
+        | None -> None
         | Some f ->
-            for d = 1 to total - !nmiss do
-              f d total
-            done
-        | None -> ());
-        let idxs = Array.of_list (List.rev !miss) in
-        if Array.length idxs > 0 then begin
-          let caller_done = ref (total - !nmiss) in
-          let report =
-            match progress with
-            | None -> None
-            | Some f ->
-                Some
-                  (fun k ->
-                    (* One tick per covered pair, matching the scalar
-                       path's cadence. *)
-                    for _ = 1 to k do
-                      incr caller_done;
-                      f !caller_done total
-                    done)
-          in
-          let out = batched_map ?report ?pool ~domains g policy dep pairs idxs in
-          Array.iteri
-            (fun j i ->
-              vals.(i) <- out.(j);
-              remember pairs.(i) out.(j))
-            idxs
-        end;
-        vals
-      end
-      else if use_pool then begin
-        (* Each domain (pool worker or caller) reuses its own private
-           engine workspace across the pairs it steals.  Progress is
-           reported from the caller's share of the stolen work only: the
-           caller participates in every pool map, so the callback still
-           ticks, but its [done] count stops short of [total]. *)
-        let caller = (Domain.self () :> int) in
-        let caller_done = ref 0 in
-        Parallel.map ?pool ~domains
-          (fun p ->
-            let b = compute_pair (Routing.Engine.Workspace.local ()) p in
-            (match progress with
-            | Some f when (Domain.self () :> int) = caller ->
-                incr caller_done;
-                f !caller_done total
-            | _ -> ());
-            b)
-          pairs
-      end
-      else begin
-        let ws = Routing.Engine.Workspace.local () in
-        Array.mapi
-          (fun i p ->
-            let b = compute_pair ws p in
-            (match progress with Some f -> f (i + 1) total | None -> ());
-            b)
-          pairs
-      end
-    in
-    mean per_pair
+            Some
+              (fun k ->
+                (* One tick per covered pair. *)
+                for _ = 1 to k do
+                  incr caller_done;
+                  f !caller_done total
+                done)
+      in
+      let out = batched_map ?report ?pool ~domains g policy dep pairs idxs in
+      Array.iteri
+        (fun j i ->
+          vals.(i) <- out.(j);
+          remember pairs.(i) out.(j))
+        idxs
+    end;
+    mean vals
   end
 
 let h_metric_per_dst ?pool ?cache g policy dep ~attackers ~dst =
@@ -599,25 +543,12 @@ module Evaluator = struct
     | None -> Array.iteri classify_fresh t.pairs);
     let idxs = Array.of_list (List.rev !to_compute) in
     if Array.length idxs > 0 then begin
-      if batch_enabled () then begin
-        (* [idxs] holds only pairs the dirty cone (and caches) left
-           standing, so clean attackers are already masked out of the
-           lane words: a destination with one dirty attacker costs a
-           1-lane solve, not a full word. *)
-        let out = batched_map ?pool:t.pool t.g t.policy dep t.pairs idxs in
-        Array.iteri (fun j i -> vals.(i) <- out.(j)) idxs
-      end
-      else begin
-        let computed =
-          Parallel.map ?pool:t.pool ~domains:1
-            (fun i ->
-              pair_bounds
-                ~ws:(Routing.Engine.Workspace.local ())
-                t.g t.policy dep t.pairs.(i))
-            idxs
-        in
-        Array.iteri (fun j i -> vals.(i) <- computed.(j)) idxs
-      end
+      (* [idxs] holds only pairs the dirty cone (and caches) left
+         standing, so clean attackers are already masked out of the lane
+         words: a destination with one dirty attacker costs a 1-lane
+         solve, not a full word. *)
+      let out = batched_map ?pool:t.pool t.g t.policy dep t.pairs idxs in
+      Array.iteri (fun j i -> vals.(i) <- out.(j)) idxs
     end;
     (* Publish every value (carried ones included) under the new version:
        sibling evaluators and plain [h_metric ~cache] calls sharing this

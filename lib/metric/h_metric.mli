@@ -138,13 +138,6 @@ module Cache : sig
   val clear : t -> unit
 end
 
-val batch_enabled : unit -> bool
-(** Whether the destination-major batched kernel ({!Routing.Batch})
-    drives the metric paths.  Default on; setting [SBGP_BATCH] to [0],
-    [false], [no] or [off] forces the scalar per-pair engine.  The two
-    paths are bit-identical — the switch exists for benchmarking and
-    divergence triage, not for correctness. *)
-
 val batch_plan : pair array -> (int * int array * int array) array
 (** Group pairs by destination (first-seen input order, deterministic)
     and chunk each destination's attacker list into words of at most
@@ -164,23 +157,21 @@ val h_metric :
   pair array ->
   bounds
 (** [H_{M,D}(S)] estimated over the given attacker-destination pairs.
-    By default, pairs sharing a destination are solved together by the
+    Pairs sharing a destination are solved together by the
     destination-major batched kernel — one routing-tree drain per
     {!Routing.Batch.max_lanes} attackers — with per-lane counts folded
-    straight off the packed lane groups; see {!batch_enabled} to force
-    the scalar path.  [pool] fans the pairs out over a persistent worker
-    pool; otherwise
-    [domains > 1] borrows the default pool (the pairs are independent and
-    the graph is read-only).  Every domain — including the sequential
-    path — reuses its private {!Routing.Engine.Workspace}, and the
+    straight off the packed lane groups.  [pool] fans the words out over
+    a persistent worker pool; otherwise [domains > 1] borrows the default
+    pool (the words are independent and the graph is read-only).  Every
+    domain reuses its private {!Routing.Batch.Workspace}, and the
     per-pair results are reduced in input order, so the value is
     bit-identical whatever the parallelism.
 
-    [progress done total] ticks after each pair on the sequential path.
-    On the pooled path it is invoked from the calling domain only, for
-    the caller's share of the stolen work — it still ticks throughout the
-    job but [done] stops short of [total]; it never fires from a worker
-    domain.
+    [progress done total] ticks once per pair: first for every cache
+    hit, then for the pairs of each solved word.  With a pool it is
+    invoked from the calling domain only, for the caller's share of the
+    stolen words — it still ticks throughout the job but [done] stops
+    short of [total]; it never fires from a worker domain.
 
     [cache] memoizes per-pair bounds across calls (hits skip the engine
     entirely); the cache must belong to this graph. *)

@@ -21,9 +21,8 @@
     pick (secure paths need contiguous Full segments, so candidates can
     complement each other).  [Check.Optimize] therefore gates CELF
     behind a differential identity check against {!Max_k.greedy} on
-    seeded instances — same pick sequence, bit-identical bounds — and
-    the optimize bench refuses to report a speedup unless that gate
-    passes on the benchmarked instance.
+    seeded instances — same pick sequence, bit-identical bounds
+    ([sbgp check --optimize]).
 
     The single-pair helpers ({!happy_with}, {!greedy}, {!exhaustive})
     remain for the reduction gadget and for exhaustive ground truth on

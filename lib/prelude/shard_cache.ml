@@ -1,7 +1,7 @@
 type key = { k1 : int; k2 : int; k3 : int; k4 : int }
 
 (* FNV-1a-style mix over the four components; monomorphic throughout —
-   this module is in the hot-path lint scope (tools/lint.sh) because
+   this module is in the hot-path lint scope (`dune build @lint`) because
    cache lookups sit on the incremental evaluator's per-pair path. *)
 let hash_key { k1; k2; k3; k4 } =
   let h = ref 0xcbf29ce4 in

@@ -22,9 +22,8 @@
     per attacker, for every policy model and both tiebreaks: ranks are
     injective on (class, length, security) and strictly monotone along
     route extensions, and both tiebreaks are order-independent merges.
-    The identity is enforced three ways — qcheck property tests, the
-    [sbgp check --kernel] batched-divergence pass, and the bench
-    identity gate. *)
+    The identity is enforced two ways — qcheck property tests and the
+    [sbgp check --kernel] batched-divergence pass. *)
 
 val max_lanes : int
 (** Maximum attackers per batch: {!Prelude.Bitset.word_bits} = 63, the

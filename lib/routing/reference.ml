@@ -2,9 +2,9 @@
    baseline: seven parallel candidate arrays, per-class [Array.iter]
    adjacency closures and a [Policy.rank] call per offered edge.  The
    packed CSR engine ({!Engine}) must stay bit-identical to this module
-   on every input — enforced by {!Check.Kernel}, test/test_kernel.ml and
-   the kernel microbenchmark's identity gate.  Do not optimize this
-   file; its slowness is the point of the before/after comparison. *)
+   on every input — enforced by {!Check.Kernel} and test/test_kernel.ml.
+   Do not optimize this file: it is the oracle, not a production
+   path. *)
 
 type tiebreak = Engine.tiebreak = Bounds | Lowest_next_hop
 

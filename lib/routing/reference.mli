@@ -5,11 +5,10 @@
     memory layout: seven parallel candidate arrays, three per-class
     [Array.iter] adjacency closures per expansion, and a full
     {!Policy.rank} computation (variant dispatch included) per offered
-    edge.  {!Check.Kernel}, the qcheck suite in test/test_kernel.ml and
-    the kernel microbenchmark's identity gate all compare {!Engine}
-    against this module bit-for-bit; the microbenchmark also reports the
-    throughput delta between the two, which is the whole point of
-    keeping the slow version around.  Do not optimize it. *)
+    edge.  {!Check.Kernel} ([sbgp check --kernel]) and the qcheck suite
+    in test/test_kernel.ml compare {!Engine} against this module
+    bit-for-bit; an independent oracle is the whole point of keeping the
+    slow version around.  Do not optimize it. *)
 
 type tiebreak = Engine.tiebreak = Bounds | Lowest_next_hop
 

@@ -75,7 +75,7 @@ let test_all_rules_covered () =
 
 (* The old grep lint dropped any hit line that begins with a comment
    delimiter, so a definition sharing its line with a comment closer
-   was invisible (tools/lint.sh kept the filter line-local on purpose).
+   was invisible (that grep lint kept the filter line-local on purpose).
    The typed walk must catch exactly that fixture. *)
 let test_comment_mask_regression () =
   let outcome = Lazy.force fixture_outcome in

@@ -109,7 +109,7 @@ let test_registry () =
   Alcotest.(check bool) "find rejects junk" true
     (Experiments.Registry.find "nope" = None)
 
-let experiment_case entry =
+let experiment_case ctx entry =
   Alcotest.test_case entry.Experiments.Registry.id `Slow (fun () ->
       let out = entry.Experiments.Registry.run (Lazy.force ctx) in
       Alcotest.(check bool)
@@ -121,6 +121,18 @@ let experiment_case entry =
         (entry.Experiments.Registry.id ^ " mentions the paper")
         true
         (String.length entry.Experiments.Registry.paper > 0))
+
+(* The App. J robustness subset, re-run on the IXP-augmented graph
+   (`sbgp run --ixp baseline partitions partitions-tier lpk`). *)
+let app_j_ids = [ "baseline"; "partitions"; "partitions-tier"; "lpk" ]
+
+let app_j_entries =
+  List.map
+    (fun id ->
+      match Experiments.Registry.find id with
+      | Some e -> e
+      | None -> failwith ("App. J experiment missing from registry: " ^ id))
+    app_j_ids
 
 (* The baseline experiment's headline number must be in the paper's
    ballpark on the synthetic graph. *)
@@ -180,5 +192,7 @@ let () =
           Alcotest.test_case "stable across seeds" `Slow test_seed_stability;
         ] );
       ( "runs end to end",
-        List.map experiment_case Experiments.Registry.all );
+        List.map (experiment_case ctx) Experiments.Registry.all );
+      ( "App. J on the IXP graph",
+        List.map (experiment_case ixp_ctx) app_j_entries );
     ]

@@ -505,6 +505,90 @@ let prop_influence_within_cone seed =
   let ok, _, _ = influence_case ~max_lanes:3 seed within in
   ok
 
+(* The rollout family's cache reuse at the experiment layer: Evaluator
+   chains over two Tier 1+2 steps fill one shared cache, [Cache.carry]
+   republishes the retained secure destinations' clean pairs between the
+   steps, and [Util.per_destination_changes ~cache] — pooled, as the
+   experiments call it — must then equal the cache-free call bit for
+   bit, for all three models. *)
+let test_per_destination_cache () =
+  let module Ctx = Core.Experiments.Context in
+  let module Ev = Core.Metric.Evaluator in
+  let ctx = Ctx.make ~n:300 ~seed:5 ~scale:0.2 () in
+  let g = ctx.Ctx.graph and tiers = ctx.Ctx.tiers in
+  let attackers = Core.Experiments.Util.rollout_attackers ctx ~k:30 in
+  let pairs =
+    Core.Metric.pairs ~attackers
+      ~dsts:(Ctx.sample ctx "pdc-dst" ctx.Ctx.all 9)
+      ()
+  in
+  let pool = Lazy.force shared_pool in
+  let empty = Core.Deployment.empty (Core.Graph.n g) in
+  (* At n = 300 the paper's 13/37-AS steps dirty every sampled pair;
+     these smaller steps leave some pairs clean, so the carry has work. *)
+  let step1 = Core.Deployment.tier1_tier2 g tiers ~n_t1:1 ~n_t2:1 in
+  let step2 = Core.Deployment.tier1_tier2 g tiers ~n_t1:1 ~n_t2:2 in
+  let sd1 = Core.Experiments.Util.secure_dsts ctx step1 ~k:50 in
+  let sd2 = Core.Experiments.Util.secure_dsts ctx step2 ~k:50 in
+  let retained =
+    Array.of_list (List.filter (fun d -> Array.mem d sd1) (Array.to_list sd2))
+  in
+  Alcotest.(check bool) "steps share secure destinations" true
+    (Array.length retained > 0);
+  let cache = Core.Metric.Cache.create () in
+  let evs =
+    List.map
+      (fun policy ->
+        let ev = Ev.create ~pool ~cache g policy pairs in
+        ignore (Ev.eval ev empty);
+        (policy, ev))
+      Ctx.policies
+  in
+  let same policy dep dsts =
+    let via_cache =
+      Core.Experiments.Util.per_destination_changes ~pool ~cache g policy dep
+        ~attackers ~dsts
+    in
+    let fresh =
+      Core.Experiments.Util.per_destination_changes g policy dep ~attackers
+        ~dsts
+    in
+    Array.length via_cache = Array.length fresh
+    && Array.for_all2
+         (fun (d, (a : Core.Metric.bounds)) (d', (b : Core.Metric.bounds)) ->
+           d = d' && bits_equal a.lb b.lb && bits_equal a.ub b.ub)
+         via_cache fresh
+  in
+  List.iter
+    (fun (policy, ev) ->
+      ignore (Ev.eval ev step1);
+      Alcotest.(check bool)
+        (Core.Policy.name policy ^ ": step 1 cached = fresh")
+        true (same policy step1 sd1))
+    evs;
+  let cone =
+    Core.Incremental.compute g ~old_dep:step1 ~new_dep:step2 ~dsts:retained
+  in
+  let carried =
+    List.fold_left
+      (fun acc (policy, _) ->
+        acc
+        + Core.Metric.Cache.carry cache policy g cone ~old_dep:step1
+            ~new_dep:step2 ~attackers ~dsts:retained)
+      0 evs
+  in
+  Alcotest.(check bool) "carry republished clean pairs" true (carried > 0);
+  let hits0 = Core.Metric.Cache.hits cache in
+  List.iter
+    (fun (policy, ev) ->
+      ignore (Ev.eval ev step2);
+      Alcotest.(check bool)
+        (Core.Policy.name policy ^ ": step 2 cached = fresh")
+        true (same policy step2 sd2))
+    evs;
+  Alcotest.(check bool) "step 2 reused cached pairs" true
+    (Core.Metric.Cache.hits cache > hits0)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -529,6 +613,8 @@ let () =
           Alcotest.test_case "unsigned-destination key normalization" `Quick
             test_unsigned_dst_normalization;
           Alcotest.test_case "carry republishes clean pairs" `Quick test_carry;
+          Alcotest.test_case "per-destination changes: cached = fresh" `Quick
+            test_per_destination_cache;
         ] );
       ( "topology delta",
         [
