@@ -191,12 +191,19 @@ let exp_cmd =
              enabled by SBGP_CHECK=1 in the environment.")
   in
   let run n seed ixp scale domains graph_file out_dir check which =
+    let check =
+      match Core.Check.enabled () with
+      | env -> check || env
+      | exception Invalid_argument msg ->
+          prerr_endline ("sbgp: " ^ msg);
+          exit 2
+    in
     (match out_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
     let ctx = context n seed ixp scale domains graph_file in
     Printf.printf "context: %s\n\n%!" (Core.Experiments.Context.describe ctx);
-    if check || Core.Check.enabled () then begin
+    if check then begin
       let report = Core.Experiments.Context.self_audit ctx in
       print_string (Core.Check.Diagnostic.summary report);
       print_newline ();

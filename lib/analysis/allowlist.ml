@@ -8,8 +8,8 @@
 
    e.g.
 
-     ast/determinism-taint  Metric.H_metric.h_metric  -- Domain.self
-       only gates progress callbacks; results unaffected
+     ast/lock-discipline  Parallel.Pool.worker_loop  -- assert is an
+       unreachable-state check
 
    '#' starts a comment; the reason after "--" is mandatory — an
    exemption nobody can explain should not exist.  A symbol entry also

@@ -39,7 +39,11 @@ let default_options =
 let enabled () =
   match Sys.getenv_opt "SBGP_CHECK" with
   | Some ("1" | "true" | "yes") -> true
-  | _ -> false
+  | Some ("0" | "false" | "no") | None -> false
+  | Some v ->
+      invalid_arg
+        (Printf.sprintf
+           "SBGP_CHECK must be 1|true|yes or 0|false|no, got %S" v)
 
 (* Deterministic mixed deployments exercising every mode; the sparse one
    is a pointwise subset of the mixed one, as the monotonicity theorem

@@ -66,7 +66,9 @@ val default_options : options
 
 val enabled : unit -> bool
 (** [SBGP_CHECK] is set to [1]/[true]/[yes] in the environment — the
-    experiment runners consult this to self-audit before running. *)
+    experiment runners consult this to self-audit before running.
+    Unset or [0]/[false]/[no] is off; any other value raises
+    [Invalid_argument] naming the variable and the value. *)
 
 val run :
   ?options:options ->

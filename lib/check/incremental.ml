@@ -1,11 +1,10 @@
 (* Differential check of the incremental evaluation layer: along a
    seeded rollout chain (several monotone steps plus one non-monotone
    wobble at the end), the per-pair bounds an
-   {!Metric.H_metric.Evaluator} carries, skips or caches must be
-   bit-identical to a from-scratch engine computation of every pair at
-   every step.  This exercises the whole reuse surface — dirty cones,
-   the Theorem 6.1 shortcut and the shared cache — against the ground
-   truth it claims to reproduce. *)
+   {!Metric.H_metric.Evaluator} carries or caches must be bit-identical
+   to a from-scratch engine computation of every pair at every step.
+   This exercises the whole reuse surface — dirty cones and the shared
+   cache — against the ground truth it claims to reproduce. *)
 
 module D = Diagnostic
 module M = Metric.H_metric

@@ -131,7 +131,7 @@ let self_audit ?options t =
   Check.run ~options ~tiers:t.tiers t.graph
 
 let describe t =
-  Printf.sprintf "graph=%s n=%d c2p=%d p2p=%d seed=%d scale=%.1f" t.label
+  Printf.sprintf "graph=%s n=%d c2p=%d p2p=%d seed=%d scale=%g" t.label
     (Topology.Graph.n t.graph)
     (Topology.Graph.num_customer_provider_edges t.graph)
     (Topology.Graph.num_peer_edges t.graph)

@@ -35,9 +35,10 @@ let dep_step ?simplex step_label dep = { step_label; dep; simplex }
    in distribution, and sharing triples the cache reuse).  It comes from
    {!Util.secure_dsts} — the global priority order shared by the whole
    rollout family: successive steps of a rollout have nested secure
-   sets, so their samples overlap maximally, and the per-destination
-   bounds cached at one step are exactly the ones the next step (and
-   sibling variants and experiments) need. *)
+   sets, so their samples overlap maximally: a retained destination's
+   empty-deployment baseline, cached at one step, is a hit at the next,
+   and a deployment that recurs across variants and experiments hits on
+   every pair. *)
 let secure_dest_sample (ctx : Context.t) dep ~k = Util.secure_dsts ctx dep ~k
 
 let secure_dest_delta (ctx : Context.t) policy dep ~attackers ~dsts =
@@ -66,35 +67,6 @@ type lane = {
   simplex_ev : Metric.H_metric.Evaluator.t Lazy.t;
   baseline : Metric.H_metric.bounds;
 }
-
-(* Between consecutive steps, republish the cached per-destination bounds
-   of every retained sampled destination whose pair the dirty cone proves
-   unchanged — the next [per_destination_changes] then hits instead of
-   recomputing.  The cone is policy-independent, so one covers all
-   lanes. *)
-let carry_secure_dests (ctx : Context.t) lanes ~prev ~dep ~attackers ~dsts =
-  match prev with
-  | Some (old_dep, old_dsts) when Array.length dsts > 0 ->
-      let keep = Hashtbl.create 64 in
-      Array.iter (fun d -> Hashtbl.replace keep d ()) old_dsts;
-      let retained =
-        Array.to_list dsts |> List.filter (Hashtbl.mem keep) |> Array.of_list
-      in
-      if Array.length retained > 0 then begin
-        let cone =
-          Routing.Incremental.compute ctx.graph ~old_dep ~new_dep:dep
-            ~dsts:retained
-        in
-        let cache = Context.cache ctx in
-        List.iter
-          (fun lane ->
-            ignore
-              (Metric.H_metric.Cache.carry cache lane.policy ctx.graph cone
-                 ~old_dep
-                 ~new_dep:dep ~attackers ~dsts:retained))
-          lanes
-      end
-  | _ -> ()
 
 let run_rollout (ctx : Context.t) ~steps ~dsts_mode =
   let attackers = Util.rollout_attackers ctx ~k:30 in
@@ -142,15 +114,9 @@ let run_rollout (ctx : Context.t) ~steps ~dsts_mode =
         { policy; base_ev; simplex_ev; baseline })
       Context.policies
   in
-  let sd_prev = ref None in
   List.iter
     (fun step ->
-      let sd_dsts =
-        secure_dest_sample ctx step.dep ~k:50
-      in
-      carry_secure_dests ctx lanes ~prev:!sd_prev ~dep:step.dep ~attackers
-        ~dsts:sd_dsts;
-      if Array.length sd_dsts > 0 then sd_prev := Some (step.dep, sd_dsts);
+      let sd_dsts = secure_dest_sample ctx step.dep ~k:50 in
       List.iter
         (fun lane ->
           let with_s =

@@ -38,18 +38,6 @@ let happy outcome =
   done;
   { happy_lb = !lb; happy_ub = !ub; sources = !sources }
 
-let happy_among outcome set =
-  let lb = ref 0 and ub = ref 0 and sources = ref 0 in
-  Array.iter
-    (fun v ->
-      if is_source outcome v then begin
-        incr sources;
-        if Routing.Outcome.happy_lb outcome v then incr lb;
-        if Routing.Outcome.happy_ub outcome v then incr ub
-      end)
-    set;
-  { happy_lb = !lb; happy_ub = !ub; sources = !sources }
-
 let to_bounds c =
   {
     lb = Prelude.Stats.fraction c.happy_lb c.sources;
@@ -214,25 +202,16 @@ let batch_item_bounds ~ws g policy dep pairs idxs item =
     (Routing.Batch.compute ~ws g policy dep ~dst:item.bdst ~attackers)
 
 (* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination.
-   Returns bounds aligned with [idxs].  [report] ticks from the caller
-   domain with the number of pairs each of its items covered. *)
-let batched_map ?report ?pool ?(domains = 1) g policy dep pairs idxs =
+   Returns bounds aligned with [idxs]. *)
+let batched_map ?pool ?(domains = 1) g policy dep pairs idxs =
   let items = batch_items pairs idxs in
-  let caller = (Domain.self () :> int) in
   let per_item =
     (* Items are few and coarse (one drain each): steal singly. *)
     Parallel.map ?pool ~domains ~chunk:1
       (fun item ->
-        let out =
-          batch_item_bounds
-            ~ws:(Routing.Batch.Workspace.local ())
-            g policy dep pairs idxs item
-        in
-        (match report with
-        | Some f when (Domain.self () :> int) = caller ->
-            f (Array.length item.bpos)
-        | _ -> ());
-        out)
+        batch_item_bounds
+          ~ws:(Routing.Batch.Workspace.local ())
+          g policy dep pairs idxs item)
       items
   in
   let out = Array.make (Array.length idxs) { lb = 0.; ub = 0. } in
@@ -267,12 +246,6 @@ let policy_code (p : Routing.Policy.t) =
    deployment, and every policy sharing a local-preference variant can
    share one cache entry under one reserved version. *)
 let normalized_code p = (lp_code p * 4) + 2
-
-let sec3_standard (p : Routing.Policy.t) =
-  let open Routing.Policy in
-  match (p.model, p.lp) with
-  | Security_third, Standard -> true
-  | (Security_first | Security_second | Security_third), _ -> false
 
 module Cache = struct
   module Sc = Prelude.Shard_cache
@@ -365,13 +338,6 @@ module Cache = struct
           attackers)
       dsts;
     !carried
-
-  let clear t =
-    Mutex.lock t.mu;
-    t.versions <- [];
-    t.next <- 0;
-    Mutex.unlock t.mu;
-    Sc.clear t.store
 end
 
 (* The H metric of a pair set: the mean of its per-pair bounds, summed
@@ -389,7 +355,7 @@ let mean vals =
     { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
   end
 
-let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
+let h_metric ?pool ?(domains = 1) ?cache g policy dep pairs =
   let total = Array.length pairs in
   if total = 0 then { lb = 0.; ub = 0. }
   else begin
@@ -402,41 +368,18 @@ let h_metric ?progress ?pool ?(domains = 1) ?cache g policy dep pairs =
             fun p b -> Cache.store c policy g dep ~version p b )
     in
     (* Pre-resolve the cache per pair, then solve only the misses,
-       destination-major, whole attacker words at a time.  Progress
-       ticks in covered pairs from the caller's share of the items. *)
+       destination-major, whole attacker words at a time. *)
     let vals = Array.make total { lb = 0.; ub = 0. } in
     let miss = ref [] in
-    let nmiss = ref 0 in
     Array.iteri
       (fun i p ->
         match find p with
         | Some b -> vals.(i) <- b
-        | None ->
-            miss := i :: !miss;
-            incr nmiss)
+        | None -> miss := i :: !miss)
       pairs;
-    (match progress with
-    | Some f ->
-        for d = 1 to total - !nmiss do
-          f d total
-        done
-    | None -> ());
     let idxs = Array.of_list (List.rev !miss) in
     if Array.length idxs > 0 then begin
-      let caller_done = ref (total - !nmiss) in
-      let report =
-        match progress with
-        | None -> None
-        | Some f ->
-            Some
-              (fun k ->
-                (* One tick per covered pair. *)
-                for _ = 1 to k do
-                  incr caller_done;
-                  f !caller_done total
-                done)
-      in
-      let out = batched_map ?report ?pool ~domains g policy dep pairs idxs in
+      let out = batched_map ?pool ~domains g policy dep pairs idxs in
       Array.iteri
         (fun j i ->
           vals.(i) <- out.(j);
@@ -456,12 +399,7 @@ let h_metric_per_dst ?pool ?cache g policy dep ~attackers ~dst =
   h_metric ?pool ?cache g policy dep ps
 
 module Evaluator = struct
-  type stats = {
-    computed : int;
-    carried : int;
-    cache_hits : int;
-    thm_skips : int;
-  }
+  type stats = { computed : int; carried : int; cache_hits : int }
 
   type t = {
     g : Topology.Graph.t;
@@ -496,14 +434,14 @@ module Evaluator = struct
       pool;
       cache;
       prev = None;
-      st = { computed = 0; carried = 0; cache_hits = 0; thm_skips = 0 };
+      st = { computed = 0; carried = 0; cache_hits = 0 };
     }
 
   let eval t dep =
     let version = Cache.intern t.cache t.g dep in
     let n = Array.length t.pairs in
     let vals = Array.make n { lb = 0.; ub = 0. } in
-    let carried = ref 0 and hits = ref 0 and skips = ref 0 in
+    let carried = ref 0 and hits = ref 0 in
     let to_compute = ref [] in
     let classify_fresh i p =
       match Cache.find t.cache t.policy t.g dep ~version p with
@@ -520,25 +458,16 @@ module Evaluator = struct
         let cone =
           Routing.Incremental.compute t.g ~old_dep ~new_dep:dep ~dsts:t.dsts
         in
-        let thm_ok = sec3_standard t.policy && Routing.Incremental.monotone cone in
         Array.iteri
           (fun i p ->
             if
-              not
-                (Routing.Incremental.dirty_pair cone ~attacker:p.attacker
-                   ~dst:p.dst)
-            then begin
+              Routing.Incremental.dirty_pair cone ~attacker:p.attacker
+                ~dst:p.dst
+            then classify_fresh i p
+            else begin
               vals.(i) <- old_vals.(i);
               incr carried
-            end
-            else if thm_ok && old_vals.(i).lb >= 1.0 then begin
-              (* Theorem 6.1: under security-3rd with standard local
-                 preference, per-source happiness is monotone in the
-                 deployment, so a pair already at {1, 1} stays there. *)
-              vals.(i) <- old_vals.(i);
-              incr skips
-            end
-            else classify_fresh i p)
+            end)
           t.pairs
     | None -> Array.iteri classify_fresh t.pairs);
     let idxs = Array.of_list (List.rev !to_compute) in
@@ -562,7 +491,6 @@ module Evaluator = struct
         computed = t.st.computed + Array.length idxs;
         carried = t.st.carried + !carried;
         cache_hits = t.st.cache_hits + !hits;
-        thm_skips = t.st.thm_skips + !skips;
       };
     mean vals
 

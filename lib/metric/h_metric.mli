@@ -34,10 +34,6 @@ val happy : Routing.Outcome.t -> counts
 (** Happy-source counts over all sources (every AS except the destination
     and the attacker). *)
 
-val happy_among : Routing.Outcome.t -> int array -> counts
-(** Restrict the sources to the given set (the destination and attacker
-    are skipped if present). *)
-
 val to_bounds : counts -> bounds
 
 type pair = { attacker : int; dst : int }
@@ -128,14 +124,14 @@ module Cache : sig
       [old_dep -> new_dep] delta.  [cone] must have been computed for that
       delta, on graph [g], with a destination set covering [dsts].  Pairs
       with no cached entry under [old_dep] are skipped.  Returns the
-      number of entries carried.  This is how per-destination rollout
-      columns reuse the previous step without a full {!Evaluator} over
-      their pair set. *)
+      number of entries carried.  The production caller is the Max-k
+      optimizer's CELF re-score: it republishes the cached bounds along
+      each candidate's chain from the deployment it was last scored
+      against, so the evaluator hits on the clean pairs. *)
 
   val length : t -> int
   val hits : t -> int
   val misses : t -> int
-  val clear : t -> unit
 end
 
 val batch_plan : pair array -> (int * int array * int array) array
@@ -147,7 +143,6 @@ val batch_plan : pair array -> (int * int array * int array) array
     Every input position appears in exactly one item. *)
 
 val h_metric :
-  ?progress:(int -> int -> unit) ->
   ?pool:Parallel.Pool.t ->
   ?domains:int ->
   ?cache:Cache.t ->
@@ -166,12 +161,6 @@ val h_metric :
     domain reuses its private {!Routing.Batch.Workspace}, and the
     per-pair results are reduced in input order, so the value is
     bit-identical whatever the parallelism.
-
-    [progress done total] ticks once per pair: first for every cache
-    hit, then for the pairs of each solved word.  With a pool it is
-    invoked from the calling domain only, for the caller's share of the
-    stolen words — it still ticks throughout the job but [done] stops
-    short of [total]; it never fires from a worker domain.
 
     [cache] memoizes per-pair bounds across calls (hits skip the engine
     entirely); the cache must belong to this graph. *)
@@ -192,13 +181,13 @@ val h_metric_per_dst :
     An evaluator owns a pair set and remembers the per-pair bounds of the
     last deployment it saw.  [eval] on the next deployment computes the
     {!Routing.Incremental} dirty cone of the delta and recomputes {e only}
-    the dirty pairs, carrying the remembered bounds for the clean ones —
-    plus a Theorem 6.1 shortcut: under security-3rd / standard local
-    preference on a monotone delta, a pair already at [{1, 1}] provably
-    stays there.  Results are bit-identical to a from-scratch
-    {!h_metric} on every step (same input-order reduction, and carried
-    values are sound by construction); the [incremental] check pass and
-    the qcheck properties enforce this.
+    the dirty pairs, carrying the remembered bounds for the clean ones.
+    Every pair of every [eval] is counted in exactly one of
+    [stats.computed], [stats.carried] and [stats.cache_hits].  Results
+    are bit-identical to a from-scratch {!h_metric} on every step (same
+    input-order reduction, and carried values are sound by
+    construction); the [incremental] check pass and the qcheck
+    properties enforce this.
 
     All values are also published to the (shareable) {!Cache}, so sibling
     evaluators over overlapping pair sets reuse each other's work. *)
@@ -209,7 +198,6 @@ module Evaluator : sig
     computed : int;  (** pairs recomputed with the engine *)
     carried : int;  (** pairs carried clean from the previous step *)
     cache_hits : int;  (** pairs served from the shared cache *)
-    thm_skips : int;  (** pairs carried via the Theorem 6.1 shortcut *)
   }
 
   val create :

@@ -67,10 +67,5 @@ let length t =
     (fun acc s -> acc + with_shard s (fun () -> Tbl.length s.table))
     0 t.shards
 
-let clear t =
-  Array.iter (fun s -> with_shard s (fun () -> Tbl.reset s.table)) t.shards;
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0
-
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

@@ -26,9 +26,7 @@ val shards : 'v t -> int
 val length : 'v t -> int
 (** Total entries across shards; takes every shard lock, O(shards). *)
 
-val clear : 'v t -> unit
-
 val hits : 'v t -> int
-(** Number of [find] calls that returned [Some] since creation/[clear]. *)
+(** Number of [find] calls that returned [Some] since creation. *)
 
 val misses : 'v t -> int

@@ -120,7 +120,6 @@ type t = {
   epoch : int; (* result valid while ws.epoch = epoch *)
 }
 
-let dst t = t.b_dst
 let lanes t = t.b_lanes
 
 let live t =
@@ -130,8 +129,6 @@ let live t =
 let attacker t ~lane =
   if lane < 0 || lane >= t.b_lanes then invalid_arg "Batch.attacker: bad lane";
   t.b_attackers.(lane)
-
-let attackers t = Array.copy t.b_attackers
 
 let all_mask ~lanes = if lanes >= max_lanes then -1 else (1 lsl lanes) - 1
 

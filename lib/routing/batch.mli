@@ -71,14 +71,10 @@ val compute :
     [1 .. max_lanes], any id is out of range, some attacker equals
     [dst], or [attacker_claim < 0]. *)
 
-val dst : t -> int
 val lanes : t -> int
 
 val attacker : t -> lane:int -> int
 (** Lane [l]'s attacker. *)
-
-val attackers : t -> int array
-(** A fresh copy of the per-lane attacker array. *)
 
 val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> unit
 (** Iterate every frozen group of every reached AS.  [mask] is the lane

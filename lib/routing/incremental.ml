@@ -21,16 +21,8 @@
 
 type status = Clean | All_dirty | Witnesses of int array
 
-type t = {
-  monotone : bool;
-  changed_full : int array;
-  changed_signs : int array;
-  status : (int, status) Hashtbl.t; (* per requested destination *)
-  n_clean : int;
-  n_dirty : int;
-      (* tallied during the deterministic pass over [dsts]; [counts]
-         must not fold over the hash table, whose order is arbitrary *)
-}
+(* Per requested destination. *)
+type t = (int, status) Hashtbl.t
 
 let changed_sets old_dep new_dep =
   let n = Deployment.n old_dep in
@@ -56,7 +48,6 @@ let compute g ~old_dep ~new_dep ~dsts =
   let signs_changed = Prelude.Bitset.create n in
   Array.iter (Prelude.Bitset.add signs_changed) changed_signs;
   let status = Hashtbl.create (Array.length dsts) in
-  let n_clean = ref 0 and n_dirty = ref 0 in
   let no_full_change = Array.length changed_full = 0 in
   Array.iter
     (fun d ->
@@ -94,39 +85,17 @@ let compute g ~old_dep ~new_dep ~dsts =
             if Array.length ws = 0 then Clean else Witnesses ws
           end
         in
-        (match st with
-        | Clean -> incr n_clean
-        | All_dirty | Witnesses _ -> incr n_dirty);
         Hashtbl.replace status d st
       end)
     dsts;
-  {
-    monotone;
-    changed_full;
-    changed_signs;
-    status;
-    n_clean = !n_clean;
-    n_dirty = !n_dirty;
-  }
-
-let monotone t = t.monotone
-let changed_full t = Array.copy t.changed_full
-let changed_signs t = Array.copy t.changed_signs
-
-let dirty_dst t d =
-  match Hashtbl.find_opt t.status d with
-  | None -> true (* not in the requested set: stay conservative *)
-  | Some Clean -> false
-  | Some (All_dirty | Witnesses _) -> true
+  status
 
 let dirty_pair t ~attacker ~dst =
-  match Hashtbl.find_opt t.status dst with
-  | None -> true
+  match Hashtbl.find_opt t dst with
+  | None -> true (* not in the requested set: stay conservative *)
   | Some Clean -> false
   | Some All_dirty -> true
   | Some (Witnesses ws) -> Array.exists (fun w -> w <> attacker) ws
-
-let counts t = (t.n_clean, t.n_dirty)
 
 module Topo = struct
   (* Dirty verdicts for *topology* deltas (link add / remove /
@@ -186,8 +155,6 @@ module Topo = struct
      fixed point every surviving group is fixed, so {!Batch.iter_fixed}
      is exactly this state; ~3 ints per reached (AS, group). *)
   type word_state = {
-    st_dst : int;
-    st_attackers : int array;
     st_off : int array; (* n + 1 offsets into st_mask / st_word *)
     st_mask : int array;
     st_word : int array;
@@ -209,16 +176,7 @@ module Topo = struct
         mask.(i) <- m;
         word.(i) <- w;
         cursor.(v) <- i + 1);
-    {
-      st_dst = Batch.dst b;
-      st_attackers = Batch.attackers b;
-      st_off = off;
-      st_mask = mask;
-      st_word = word;
-    }
-
-  let dst st = st.st_dst
-  let attackers st = Array.copy st.st_attackers
+    { st_off = off; st_mask = mask; st_word = word }
 
   let influenced st dep policy ~old_graph ~(delta : Topology.Graph.Delta.t) =
     let n = Array.length st.st_off - 1 in

@@ -19,7 +19,10 @@
     A clean verdict is sound (bit-identical outcome guaranteed, for both
     tiebreak modes and every policy model); a dirty verdict is merely
     conservative.  Sizes must match; the deployments need {e not} be
-    ordered — non-monotone deltas fall back to testing both cones. *)
+    ordered — non-monotone deltas fall back to testing both cones.
+
+    A cone is the per-destination verdict table alone; callers (the
+    metric evaluator, [Cache.carry], CELF) read it through {!dirty_pair}. *)
 
 type t
 
@@ -35,27 +38,11 @@ val compute :
     run per attacker.  Raises [Invalid_argument] on size mismatches or
     an out-of-range destination. *)
 
-val monotone : t -> bool
-(** The delta was pointwise non-decreasing ([Deployment.subset]); the
-    precondition for Theorem 6.1-based skipping in the metric layer. *)
-
-val changed_full : t -> int array
-(** ASes whose [Full] status differs between the two deployments. *)
-
-val changed_signs : t -> int array
-(** ASes whose origin-signing status ([Off] vs not) differs. *)
-
-val dirty_dst : t -> int -> bool
-(** Whether any pair with this destination may have changed.  A
-    destination outside the [dsts] passed to {!compute} is reported
-    dirty (conservative). *)
-
 val dirty_pair : t -> attacker:int -> dst:int -> bool
-(** Pair-level refinement of {!dirty_dst}: additionally clean when the
-    attacker is the only witness for this destination. *)
-
-val counts : t -> int * int
-(** [(clean, dirty)] destination counts over the requested set. *)
+(** Whether the pair's outcome may have changed: [false] when its
+    destination is clean, or when the attacker is the only witness for
+    it.  A destination outside the [dsts] passed to {!compute} is
+    reported dirty (conservative). *)
 
 (** Dirty verdicts for {e topology} deltas (link add / remove / flip),
     one destination word at a time.  {!Topo.influenced} re-offers every
@@ -99,9 +86,6 @@ module Topo : sig
   (** Freeze a completed batch solve ([n] is the graph size).  Must be
       called while the result is live (before its workspace's next
       checkout). *)
-
-  val dst : word_state -> int
-  val attackers : word_state -> int array
 
   val influenced :
     word_state ->

@@ -252,12 +252,33 @@ let run_flags_broken_graph () =
 let enabled_env () =
   (* Only reads the environment; don't mutate it here, just check the
      parser against the current state. *)
-  let expect =
-    match Sys.getenv_opt "SBGP_CHECK" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false
+  match Sys.getenv_opt "SBGP_CHECK" with
+  | Some ("1" | "true" | "yes") ->
+      Alcotest.(check bool) "enabled matches env" true (C.enabled ())
+  | Some ("0" | "false" | "no") | None ->
+      Alcotest.(check bool) "enabled matches env" false (C.enabled ())
+  | Some v -> (
+      match C.enabled () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail ("SBGP_CHECK=" ^ v ^ " accepted"))
+
+(* An unknown spelling is an error naming the variable and the value,
+   not a silent "off".  The variable is restored afterwards ("0" when it
+   was unset: the environment cannot be unset portably, and "0" reads
+   as off exactly like unset). *)
+let enabled_rejects_unknown () =
+  let saved = Sys.getenv_opt "SBGP_CHECK" in
+  Unix.putenv "SBGP_CHECK" "bogus";
+  let got =
+    match C.enabled () with
+    | exception Invalid_argument msg -> Some msg
+    | _ -> None
   in
-  Alcotest.(check bool) "enabled matches env" expect (C.enabled ())
+  Unix.putenv "SBGP_CHECK" (Option.value saved ~default:"0");
+  Alcotest.(check (option string))
+    "error names the variable and the value"
+    (Some "SBGP_CHECK must be 1|true|yes or 0|false|no, got \"bogus\"")
+    got
 
 (* ---- Partition / H_metric edge-case regressions ------------------ *)
 
@@ -410,6 +431,8 @@ let () =
           Alcotest.test_case "broken graph flagged" `Quick
             run_flags_broken_graph;
           Alcotest.test_case "enabled env" `Quick enabled_env;
+          Alcotest.test_case "enabled rejects unknown values" `Quick
+            enabled_rejects_unknown;
         ] );
       ( "metric regressions",
         [

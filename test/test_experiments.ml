@@ -92,6 +92,15 @@ let test_context_scaled () =
   let c' = Experiments.Context.make ~n:1200 ~scale:0.01 () in
   Alcotest.(check int) "never below 1" 1 (Experiments.Context.scaled c' 10)
 
+(* The CLI's context line must not round small scales away: at
+   [%.1f] a 0.02-scale run used to report scale=0.0. *)
+let test_describe_scale () =
+  let c = Experiments.Context.make ~n:200 ~seed:3 ~scale:0.02 () in
+  let d = Experiments.Context.describe c in
+  (* scale is the line's last field *)
+  Alcotest.(check bool) (d ^ " reports scale=0.02") true
+    (String.ends_with ~suffix:" scale=0.02" d)
+
 let test_ixp_context () =
   let base = Lazy.force ctx and ixp = Lazy.force ixp_ctx in
   Alcotest.(check string) "label" "ixp" ixp.Experiments.Context.label;
@@ -186,6 +195,8 @@ let () =
             test_sample_key_reuse;
           Alcotest.test_case "priority sampling" `Quick test_priority_sample;
           Alcotest.test_case "scaled" `Quick test_context_scaled;
+          Alcotest.test_case "describe keeps small scales" `Quick
+            test_describe_scale;
           Alcotest.test_case "ixp variant" `Quick test_ixp_context;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "baseline ballpark" `Slow test_baseline_value;

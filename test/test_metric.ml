@@ -27,49 +27,6 @@ let test_pp_bounds () =
   Alcotest.(check string) "exact equality collapses" "50.0%" (pp 0.5 0.5);
   Alcotest.(check string) "wide interval" "[10.0%, 90.0%]" (pp 0.1 0.9)
 
-let test_progress () =
-  let rng = Core.Rng.create 5 in
-  let g = random_graph rng ~max_n:25 in
-  let n = Graph.n g in
-  let pairs =
-    Metric.pairs
-      ~attackers:(Core.Rng.sample_without_replacement rng (min 4 n) n)
-      ~dsts:(Core.Rng.sample_without_replacement rng (min 4 n) n)
-      ()
-  in
-  let dep = random_deployment rng n in
-  (* Sequential: one tick per pair, [done] exact and final. *)
-  let ticks = ref 0 and last = ref (0, 0) in
-  ignore
-    (Metric.h_metric
-       ~progress:(fun d t ->
-         incr ticks;
-         last := (d, t))
-       g sec2 dep pairs);
-  Alcotest.(check int) "sequential ticks once per pair" (Array.length pairs)
-    !ticks;
-  Alcotest.(check (pair int int))
-    "sequential finishes at total"
-    (Array.length pairs, Array.length pairs)
-    !last;
-  (* Pooled: the callback still ticks (caller steals some work), never
-     from a worker domain, and [done] never exceeds [total]. *)
-  let pool = Core.Parallel.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Core.Parallel.Pool.shutdown pool)
-    (fun () ->
-      let caller = (Domain.self () :> int) in
-      let pool_ticks = ref 0 and ok = ref true in
-      ignore
-        (Metric.h_metric ~pool
-           ~progress:(fun d t ->
-             incr pool_ticks;
-             if (Domain.self () :> int) <> caller then ok := false;
-             if d > t then ok := false)
-           g sec2 dep pairs);
-      Alcotest.(check bool) "pooled progress ticks from the caller" true
-        (!pool_ticks > 0 && !pool_ticks <= Array.length pairs && !ok))
-
 let test_happy_counts () =
   (* Figure 2 graph, security 3rd, S = {}: sources 1,2,3,5; under attack
      by 4: AS 3 is on the attack path (doomed), 2 doomed, 1 doomed
@@ -487,7 +444,6 @@ let () =
           Alcotest.test_case "bounds arithmetic" `Quick test_bounds_arith;
           Alcotest.test_case "pp_bounds precision boundary" `Quick
             test_pp_bounds;
-          Alcotest.test_case "progress reporting" `Quick test_progress;
           Alcotest.test_case "happy counts" `Quick test_happy_counts;
           Alcotest.test_case "pairs" `Quick test_pairs;
           Alcotest.test_case "pairs requires rng" `Quick test_pairs_requires_rng;

@@ -77,6 +77,17 @@ grep -q "ast/alloc-budget-stale" /tmp/astlint_budget_out || {
   echo "astlint: failure was not the stale-budget finding"; exit 1; }
 rm -f "$stale_budget" /tmp/astlint_budget_out
 
+echo "== SBGP_CHECK rejects unknown values (smoke)"
+# A misspelt SBGP_CHECK must stop the run with a one-line error naming
+# the variable, not silently run without the self-audit.
+if SBGP_CHECK=bogus dune exec bin/sbgp.exe -- run -n 100 --scale 0.02 \
+    baseline > /tmp/sbgp_check_env_out 2>&1; then
+  echo "sbgp run: SBGP_CHECK=bogus was not rejected"; exit 1
+fi
+grep -q "SBGP_CHECK" /tmp/sbgp_check_env_out || {
+  echo "sbgp run: the error does not name SBGP_CHECK"; exit 1; }
+rm -f /tmp/sbgp_check_env_out
+
 echo "== sbgp check --alloc (smoke)"
 # The runtime allocation gate at toy scale: minor words per pair of the
 # scalar/batched/reference kernels against the recorded budgets,
