@@ -174,24 +174,42 @@ let batch_plan pairs =
    each ordinary group that reaches the destination adds its whole lane
    mask to the [ub] counter at once, and to [lb] too unless it can also
    reach the attacker.  Class-3 (root) groups are skipped, which drops
-   exactly each lane's two non-sources. *)
-let lane_bounds ~n b =
-  let ub = Prelude.Lane_counter.create ~max_count:n in
-  let lb = Prelude.Lane_counter.create ~max_count:n in
-  Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-      let open Routing.Engine.Packed in
-      if cls_code_of word <> 3 && to_d_of word then begin
-        Prelude.Lane_counter.add ub mask;
-        if not (to_m_of word) then Prelude.Lane_counter.add lb mask
-      end);
-  let lanes = Routing.Batch.lanes b and sources = n - 2 in
-  let lb = Prelude.Lane_counter.to_array lb ~lanes
-  and ub = Prelude.Lane_counter.to_array ub ~lanes in
+   exactly each lane's two non-sources.  [lane_fold_add] takes one group
+   at a time, so a caller that walks the groups for its own ends (the
+   replay's snapshot) folds in the same walk. *)
+type lane_fold = {
+  f_ub : Prelude.Lane_counter.t;
+  f_lb : Prelude.Lane_counter.t;
+}
+
+let lane_fold ~n =
+  {
+    f_ub = Prelude.Lane_counter.create ~max_count:n;
+    f_lb = Prelude.Lane_counter.create ~max_count:n;
+  }
+
+let lane_fold_add f ~mask ~word =
+  let open Routing.Engine.Packed in
+  if cls_code_of word <> 3 && to_d_of word then begin
+    Prelude.Lane_counter.add f.f_ub mask;
+    if not (to_m_of word) then Prelude.Lane_counter.add f.f_lb mask
+  end
+
+let lane_fold_bounds f ~n ~lanes =
+  let sources = n - 2 in
+  let lb = Prelude.Lane_counter.to_array f.f_lb ~lanes
+  and ub = Prelude.Lane_counter.to_array f.f_ub ~lanes in
   Array.init lanes (fun l ->
       {
         lb = Prelude.Stats.fraction lb.(l) sources;
         ub = Prelude.Stats.fraction ub.(l) sources;
       })
+
+let lane_bounds ~n b =
+  let f = lane_fold ~n in
+  Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
+      lane_fold_add f ~mask ~word);
+  lane_fold_bounds f ~n ~lanes:(Routing.Batch.lanes b)
 
 (* Solve one item and fold the per-lane bounds off the groups. *)
 let batch_item_bounds ~ws g policy dep pairs idxs item =
@@ -563,9 +581,9 @@ module Replay = struct
       r_st = { steps = 0; words_solved = 0; lanes_solved = 0; lanes_carried = 0 };
     }
 
-  (* One batched solve of a word against the current graph: fold the
-     per-lane bounds off the groups and freeze the group state before
-     anything else touches the shared workspace. *)
+  (* One batched solve of a word against the current graph: freeze the
+     group state and fold the per-lane bounds off the groups in the same
+     walk, before anything else touches the shared workspace. *)
   let solve_word t vals w =
     let n = Topology.Graph.n t.r_g in
     let b =
@@ -573,8 +591,10 @@ module Replay = struct
         ~ws:(Routing.Batch.Workspace.local ())
         t.r_g t.r_policy t.r_dep ~dst:w.w_dst ~attackers:w.w_attackers
     in
-    let bounds = lane_bounds ~n b in
-    w.w_state <- Some (Routing.Incremental.Topo.snapshot ~n b);
+    let f = lane_fold ~n in
+    w.w_state <-
+      Some (Routing.Incremental.Topo.snapshot ~each:(lane_fold_add f) ~n b);
+    let bounds = lane_fold_bounds f ~n ~lanes:(Routing.Batch.lanes b) in
     Array.iteri (fun l j -> vals.(j) <- bounds.(l)) w.w_pos
 
   let eval t =

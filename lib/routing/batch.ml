@@ -47,22 +47,39 @@ module Workspace = struct
   (* Same epoch-stamp discipline as {!Engine.Workspace}: per-AS state
      ([fixed] lane mask, group count) is live only when
      [stamp.(v) = epoch], so reuse costs O(1) plus one clear of the
-     [touched] set (O(n / 63)).  The flat group arrays hold
-     [max_lanes] slots per AS ([gmask]/[gword]/[gparent] at
-     [v * max_lanes + i]); the disjoint-mask invariant caps the live
-     count at [max_lanes], so the slab never overflows. *)
+     [touched] set (O(n / 63)).
+
+     The group slabs [gmask]/[gword]/[gparent] are plane-major: group
+     [i] of AS [v] sits at [i * cap + v], so plane [i] holds the [i]-th
+     group of every AS contiguously.  A solve whose ASes hold one or two
+     groups (every one-lane solve, and most of a full word far from the
+     attackers) reads and writes only the first planes; the disjoint-mask
+     invariant caps the live count at [max_lanes], so [max_lanes] planes
+     never overflow.
+
+     The slabs are off-heap and allocated uninitialised: the GC never
+     scans them, and planes no solve reaches are never committed.  That
+     is sound because every slab read of AS [v] is bounded by
+     [gcnt.(v)], which [touch] resets to 0 under the epoch stamp before
+     the first write; no slot at or above [gcnt.(v)] is ever read,
+     whatever the memory held before. *)
+  type slab = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type t = {
     mutable cap : int;
     mutable epoch : int;
     mutable stamp : int array;
     mutable fixed : int array; (* per AS: mask of fixed lanes *)
     mutable gcnt : int array; (* per AS: live group count *)
-    mutable gmask : int array; (* cap * max_lanes group slabs *)
-    mutable gword : int array;
-    mutable gparent : int array;
+    mutable gmask : slab; (* max_lanes planes of cap slots each *)
+    mutable gword : slab;
+    mutable gparent : slab;
     mutable touched : Prelude.Bitset.t; (* ASes holding any group *)
     mutable queue : Prelude.Bucket_queue.t option;
   }
+
+  let slab cap =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (cap * max_lanes)
 
   let create cap =
     if cap < 0 then invalid_arg "Batch.Workspace.create: negative size";
@@ -72,9 +89,9 @@ module Workspace = struct
       stamp = Array.make cap (-1);
       fixed = Array.make cap 0;
       gcnt = Array.make cap 0;
-      gmask = Array.make (cap * max_lanes) 0;
-      gword = Array.make (cap * max_lanes) 0;
-      gparent = Array.make (cap * max_lanes) (-1);
+      gmask = slab cap;
+      gword = slab cap;
+      gparent = slab cap;
       touched = Prelude.Bitset.create cap;
       queue = None;
     }
@@ -88,9 +105,9 @@ module Workspace = struct
       t.stamp <- Array.make n (-1);
       t.fixed <- Array.make n 0;
       t.gcnt <- Array.make n 0;
-      t.gmask <- Array.make (n * max_lanes) 0;
-      t.gword <- Array.make (n * max_lanes) 0;
-      t.gparent <- Array.make (n * max_lanes) (-1);
+      t.gmask <- slab n;
+      t.gword <- slab n;
+      t.gparent <- slab n;
       t.touched <- Prelude.Bitset.create n
     end
 
@@ -165,6 +182,7 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
   let gmask = ws.Workspace.gmask in
   let gword = ws.Workspace.gword in
   let gparent = ws.Workspace.gparent in
+  let cap = ws.Workspace.cap in
   let touched = ws.Workspace.touched in
   let csr = Topology.Graph.csr g in
   let adj = csr.Topology.Graph.Csr.adj in
@@ -185,10 +203,10 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
   let append w ~mask ~word ~parent =
     let c = Array.unsafe_get gcnt w in
     assert (c < max_lanes);
-    let gi = (w * max_lanes) + c in
-    Array.unsafe_set gmask gi mask;
-    Array.unsafe_set gword gi word;
-    Array.unsafe_set gparent gi parent;
+    let gi = (c * cap) + w in
+    Bigarray.Array1.unsafe_set gmask gi mask;
+    Bigarray.Array1.unsafe_set gword gi word;
+    Bigarray.Array1.unsafe_set gparent gi parent;
     Array.unsafe_set gcnt w (c + 1)
   in
   (* Offer (cls, len, secure, flags) via next hop [u] to the lanes in
@@ -207,18 +225,17 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
         let sbit = if secure then 0 else 1 in
         let j = (2 * cls_code) + sbit + if len <= kk then 0 else 6 in
         let r = (Array.unsafe_get mul j * len) + Array.unsafe_get add j in
-        let base = w * max_lanes in
         remaining := live;
         winners := 0;
         i := 0;
         while !i < Array.unsafe_get gcnt w && !remaining <> 0 do
-          let gi = base + !i in
-          let gm = Array.unsafe_get gmask gi in
+          let gi = (!i * cap) + w in
+          let gm = Bigarray.Array1.unsafe_get gmask gi in
           let inter = gm land !remaining in
           if inter = 0 then incr i
           else begin
             remaining := !remaining lxor inter;
-            let gw = Array.unsafe_get gword gi in
+            let gw = Bigarray.Array1.unsafe_get gword gi in
             let cur = gw lsr Packed.rank_shift in
             if r < cur then begin
               (* These lanes take the new offer; shrink or delete the
@@ -228,13 +245,16 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
               if inter = gm then begin
                 let c = Array.unsafe_get gcnt w - 1 in
                 Array.unsafe_set gcnt w c;
-                let last = base + c in
-                Array.unsafe_set gmask gi (Array.unsafe_get gmask last);
-                Array.unsafe_set gword gi (Array.unsafe_get gword last);
-                Array.unsafe_set gparent gi (Array.unsafe_get gparent last)
+                let last = (c * cap) + w in
+                Bigarray.Array1.unsafe_set gmask gi
+                  (Bigarray.Array1.unsafe_get gmask last);
+                Bigarray.Array1.unsafe_set gword gi
+                  (Bigarray.Array1.unsafe_get gword last);
+                Bigarray.Array1.unsafe_set gparent gi
+                  (Bigarray.Array1.unsafe_get gparent last)
               end
               else begin
-                Array.unsafe_set gmask gi (gm lxor inter);
+                Bigarray.Array1.unsafe_set gmask gi (gm lxor inter);
                 incr i
               end
             end
@@ -247,31 +267,31 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
                         representative hop — updating in place when the
                         whole group ties, splitting off the tying lanes
                         otherwise. *)
-                     let gp = Array.unsafe_get gparent gi in
+                     let gp = Bigarray.Array1.unsafe_get gparent gi in
                      let nw = gw lor flags in
                      let np = if u < gp then u else gp in
                      if nw <> gw || np <> gp then
                        if inter = gm then begin
-                         Array.unsafe_set gword gi nw;
-                         Array.unsafe_set gparent gi np
+                         Bigarray.Array1.unsafe_set gword gi nw;
+                         Bigarray.Array1.unsafe_set gparent gi np
                        end
                        else begin
-                         Array.unsafe_set gmask gi (gm lxor inter);
+                         Bigarray.Array1.unsafe_set gmask gi (gm lxor inter);
                          append w ~mask:inter ~word:nw ~parent:np
                        end
                  | Engine.Lowest_next_hop ->
-                     if u < Array.unsafe_get gparent gi then begin
+                     if u < Bigarray.Array1.unsafe_get gparent gi then begin
                        let nw =
                          gw
                          land lnot (Packed.to_d_flag lor Packed.to_m_flag)
                          lor flags
                        in
                        if inter = gm then begin
-                         Array.unsafe_set gword gi nw;
-                         Array.unsafe_set gparent gi u
+                         Bigarray.Array1.unsafe_set gword gi nw;
+                         Bigarray.Array1.unsafe_set gparent gi u
                        end
                        else begin
-                         Array.unsafe_set gmask gi (gm lxor inter);
+                         Bigarray.Array1.unsafe_set gmask gi (gm lxor inter);
                          append w ~mask:inter ~word:nw ~parent:u
                        end
                      end);
@@ -362,15 +382,15 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
       let v = Prelude.Bucket_queue.pop_exn queue in
       let r = Prelude.Bucket_queue.last_rank queue in
       let fx = Array.unsafe_get fixed v in
-      let base = v * max_lanes in
       em1 := 0;
       em2 := 0;
       em3 := 0;
       shared := 0;
       for i = 0 to Array.unsafe_get gcnt v - 1 do
-        let gm = Array.unsafe_get gmask (base + i) in
+        let gi = (i * cap) + v in
+        let gm = Bigarray.Array1.unsafe_get gmask gi in
         if gm land fx = 0 then begin
-          let gw = Array.unsafe_get gword (base + i) in
+          let gw = Bigarray.Array1.unsafe_get gword gi in
           if gw lsr Packed.rank_shift = r then begin
             shared := gw;
             match gw land (Packed.to_d_flag lor Packed.to_m_flag) with
@@ -418,14 +438,19 @@ let iter_fixed t f =
   let gmask = ws.Workspace.gmask in
   let gword = ws.Workspace.gword in
   let gparent = ws.Workspace.gparent in
+  let cap = ws.Workspace.cap in
   Prelude.Bitset.iter_set
     (fun v ->
-      let base = v * max_lanes in
       for i = 0 to gcnt.(v) - 1 do
-        f ~v ~mask:gmask.(base + i) ~word:gword.(base + i)
-          ~parent:gparent.(base + i)
+        let gi = (i * cap) + v in
+        f ~v ~mask:gmask.{gi} ~word:gword.{gi} ~parent:gparent.{gi}
       done)
     ws.Workspace.touched
+
+let groups t =
+  live t;
+  let gcnt = t.ws.Workspace.gcnt in
+  Prelude.Bitset.fold (fun v acc -> acc + gcnt.(v)) t.ws.Workspace.touched 0
 
 let decode ?into t ~lane =
   live t;
@@ -457,15 +482,16 @@ let group_of t ~v ~lane =
   if ws.Workspace.stamp.(v) <> t.epoch then None
   else begin
     let bit = 1 lsl lane in
-    let base = v * max_lanes in
+    let cap = ws.Workspace.cap in
     let res = ref None in
     for i = 0 to ws.Workspace.gcnt.(v) - 1 do
-      if ws.Workspace.gmask.(base + i) land bit <> 0 then
+      let gi = (i * cap) + v in
+      if ws.Workspace.gmask.{gi} land bit <> 0 then
         res :=
           Some
-            ( ws.Workspace.gmask.(base + i),
-              ws.Workspace.gword.(base + i),
-              ws.Workspace.gparent.(base + i) )
+            ( ws.Workspace.gmask.{gi},
+              ws.Workspace.gword.{gi},
+              ws.Workspace.gparent.{gi} )
     done;
     !res
   end

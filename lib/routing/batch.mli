@@ -30,10 +30,13 @@ val max_lanes : int
     width of an OCaml immediate int. *)
 
 module Workspace : sig
-  (** Reusable scratch for {!compute}: flat group slabs
-      ([max_lanes] slots per AS), per-AS lane masks revalidated by an
-      epoch stamp, the touched-AS set and the bucket queue.  Not
-      thread-safe; use one per domain ({!local}). *)
+  (** Reusable scratch for {!compute}: the group slabs, per-AS lane
+      masks revalidated by an epoch stamp, the touched-AS set and the
+      bucket queue.  The slabs hold [max_lanes] planes of one slot per
+      AS (group [i] of AS [v] in plane [i]), off the OCaml heap and
+      uninitialised, so a solve whose ASes hold few groups touches only
+      the first planes and the memory of the others is never
+      committed.  Not thread-safe; use one per domain ({!local}). *)
 
   type t
 
@@ -77,7 +80,8 @@ val attacker : t -> lane:int -> int
 (** Lane [l]'s attacker. *)
 
 val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> unit
-(** Iterate every frozen group of every reached AS.  [mask] is the lane
+(** Iterate every frozen group of every reached AS, in ascending AS
+    order, all groups of one AS consecutively.  [mask] is the lane
     set (nonempty; masks of one AS are disjoint), [word] the shared
     packed candidate — decode with {!Engine.Packed} — and [parent] the
     representative next hop.  Root groups carry class code 3: the
@@ -87,6 +91,10 @@ val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> u
     happiness and partition counts are accumulated without materializing
     [lanes t] outcome records.  ASes unreached in some lane simply have
     no group containing that lane. *)
+
+val groups : t -> int
+(** The number of groups {!iter_fixed} visits, counted from the per-AS
+    group counts without visiting them (O(reached ASes)). *)
 
 val decode : ?into:Outcome.t -> t -> lane:int -> Outcome.t
 (** [decode t ~lane] expands one lane into a full scalar {!Outcome.t},

@@ -160,22 +160,23 @@ module Topo = struct
     st_word : int array;
   }
 
-  let snapshot ~n b =
-    let counts = Array.make (n + 1) 0 in
-    Batch.iter_fixed b (fun ~v ~mask:_ ~word:_ ~parent:_ ->
-        counts.(v + 1) <- counts.(v + 1) + 1);
-    for v = 1 to n do
-      counts.(v) <- counts.(v) + counts.(v - 1)
-    done;
-    let off = counts in
-    let total = off.(n) in
+  (* One walk over the groups: {!Batch.iter_fixed} visits ASes in
+     ascending order, so each AS's offset is final when the walk first
+     reaches it; {!Batch.groups} sizes the arrays exactly up front. *)
+  let snapshot ~each ~n b =
+    let total = Batch.groups b in
+    let off = Array.make (n + 1) total in
     let mask = Array.make total 0 and word = Array.make total 0 in
-    let cursor = Array.copy off in
+    let i = ref 0 and next = ref 0 in
     Batch.iter_fixed b (fun ~v ~mask:m ~word:w ~parent:_ ->
-        let i = cursor.(v) in
-        mask.(i) <- m;
-        word.(i) <- w;
-        cursor.(v) <- i + 1);
+        each ~mask:m ~word:w;
+        while !next <= v do
+          off.(!next) <- !i;
+          incr next
+        done;
+        mask.(!i) <- m;
+        word.(!i) <- w;
+        incr i);
     { st_off = off; st_mask = mask; st_word = word }
 
   let influenced st dep policy ~old_graph ~(delta : Topology.Graph.Delta.t) =

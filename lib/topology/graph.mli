@@ -91,6 +91,10 @@ val peers : t -> int -> int array
 
 val customer_degree : t -> int -> int
 val peer_degree : t -> int -> int
+val provider_degree : t -> int -> int
+(** The three relationship degrees read the CSR's segment bounds when
+    the graph has one, so they never materialise the per-AS tables. *)
+
 val degree : t -> int -> int
 
 val num_customer_provider_edges : t -> int

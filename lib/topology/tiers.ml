@@ -22,64 +22,74 @@ let tier_index = function
   | Stub -> 6
   | Smdg -> 7
 
+let of_index = [| T1; T2; T3; Cp; Small_cp; Stub_x; Stub; Smdg |]
+
 type t = { of_as : tier array; groups : int array array }
+
+(* The ASes ordered by descending [degree v], ties by ascending id: a
+   counting sort over the degree values, stable in id order. *)
+let by_degree_desc n degree =
+  let max_deg = ref 0 in
+  for v = 0 to n - 1 do
+    if degree v > !max_deg then max_deg := degree v
+  done;
+  (* [start.(d)]: first output slot of degree [d]; higher degrees first. *)
+  let start = Array.make (!max_deg + 1) 0 in
+  for v = 0 to n - 1 do
+    let d = degree v in
+    start.(d) <- start.(d) + 1
+  done;
+  let acc = ref 0 in
+  for d = !max_deg downto 0 do
+    let c = start.(d) in
+    start.(d) <- !acc;
+    acc := !acc + c
+  done;
+  let order = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let d = degree v in
+    order.(start.(d)) <- v;
+    start.(d) <- start.(d) + 1
+  done;
+  order
 
 let classify ?(n_t1 = 13) ?(n_t2 = 100) ?(n_t3 = 100) ?(n_small_cp = 300)
     ?(cps = []) g =
   let n = Graph.n g in
-  let assigned = Array.make n None in
-  let take tier candidates count =
+  (* Tier index per AS, -1 while unassigned. *)
+  let assigned = Array.make n (-1) in
+  let take tier order keep count =
+    let i = tier_index tier in
     let taken = ref 0 in
-    List.iter
+    Array.iter
       (fun v ->
-        if !taken < count && assigned.(v) = None then begin
-          assigned.(v) <- Some tier;
+        if !taken < count && assigned.(v) < 0 && keep v then begin
+          assigned.(v) <- i;
           incr taken
         end)
-      candidates
+      order
   in
-  (* Sort by descending customer degree, breaking ties by AS id for
-     determinism. *)
-  let by_customer_degree =
-    List.sort
-      (fun a b ->
-        match compare (Graph.customer_degree g b) (Graph.customer_degree g a) with
-        | 0 -> compare a b
-        | c -> c)
-      (List.init n (fun i -> i))
-  in
-  let providerless =
-    List.filter (fun v -> Array.length (Graph.providers g v) = 0) by_customer_degree
-  in
-  take T1 providerless n_t1;
+  let by_customer_degree = by_degree_desc n (Graph.customer_degree g) in
+  let providerless v = Graph.provider_degree g v = 0 in
+  take T1 by_customer_degree providerless n_t1;
   List.iter
     (fun v ->
-      if v >= 0 && v < n && assigned.(v) = None then assigned.(v) <- Some Cp)
+      if v >= 0 && v < n && assigned.(v) < 0 then assigned.(v) <- tier_index Cp)
     cps;
-  let with_providers =
-    List.filter (fun v -> Array.length (Graph.providers g v) > 0) by_customer_degree
-  in
-  take T2 with_providers n_t2;
-  take T3 with_providers n_t3;
-  let by_peer_degree =
-    List.sort
-      (fun a b ->
-        match compare (Graph.peer_degree g b) (Graph.peer_degree g a) with
-        | 0 -> compare a b
-        | c -> c)
-      (List.init n (fun i -> i))
-  in
+  let with_providers v = not (providerless v) in
+  take T2 by_customer_degree with_providers n_t2;
+  take T3 by_customer_degree with_providers n_t3;
   (* Small CPs must actually peer; a zero-peer AS is not a "top peering" AS. *)
-  take Small_cp (List.filter (fun v -> Graph.peer_degree g v > 0) by_peer_degree)
+  take Small_cp
+    (by_degree_desc n (Graph.peer_degree g))
+    (fun v -> Graph.peer_degree g v > 0)
     n_small_cp;
-  for v = 0 to n - 1 do
-    if assigned.(v) = None then
-      if Graph.is_stub g v then
-        assigned.(v) <- Some (if Graph.peer_degree g v > 0 then Stub_x else Stub)
-      else assigned.(v) <- Some Smdg
-  done;
   let of_as =
-    Array.map (function Some t -> t | None -> assert false) assigned
+    Array.init n (fun v ->
+        if assigned.(v) >= 0 then of_index.(assigned.(v))
+        else if Graph.is_stub g v then
+          if Graph.peer_degree g v > 0 then Stub_x else Stub
+        else Smdg)
   in
   let buckets = Array.make 8 [] in
   for v = n - 1 downto 0 do

@@ -241,7 +241,13 @@ let test_batch_vs_staged =
 (* One batch workspace reused across growing and shrinking graph sizes,
    with a reused decode outcome: the epoch-stamped slabs must never leak
    groups from a previous solve, and a result must go stale the moment
-   its workspace is reused. *)
+   its workspace is reused.  The slabs are plane-major with a stride of
+   the workspace's capacity, so the sequence mixes random-width words
+   with full 63-lane words on graphs of at least 70 ASes, and solves
+   both kinds after a larger graph grew the workspace (capacity above
+   [n]: a 100..120-AS graph precedes a 70..90-AS full word and the small
+   graphs).  Every lane decodes against a scalar Engine solve, and
+   [Batch.groups] counts exactly the groups [iter_fixed] visits. *)
 let test_batch_workspace_reuse =
   qtest "batch workspace reuse across sizes" ~count:60 (fun seed ->
       let rng = Rng.create seed in
@@ -250,23 +256,50 @@ let test_batch_workspace_reuse =
       let stale = ref None in
       let ok =
         List.for_all
-          (fun max_n ->
-            let g = random_graph rng ~max_n in
+          (fun (min_n, max_n, full) ->
+            let g = random_graph rng ~min_n ~max_n in
             let n = Graph.n g in
             let dep = random_deployment rng n in
             let dst = Rng.int rng n in
-            let attackers = random_attackers rng ~n ~dst in
+            let attackers =
+              if full then
+                Array.init Batch.max_lanes (fun _ ->
+                    let m = Rng.int rng (n - 1) in
+                    if m >= dst then m + 1 else m)
+              else random_attackers rng ~n ~dst
+            in
             let policy = random_policy rng in
             let b = Batch.compute ~ws g policy dep ~dst ~attackers in
             stale := Some b;
-            let lane = Rng.int rng (Array.length attackers) in
-            let want =
-              Engine.compute g policy dep ~dst
-                ~attacker:(Some attackers.(lane))
-            in
-            let got = Batch.decode ~into b ~lane in
-            check_none "reused ws + into" (outcome_mismatch want got))
-          [ 5; 9; 17; 33; 12; 40 ]
+            let visited = ref 0 in
+            Batch.iter_fixed b (fun ~v:_ ~mask:_ ~word:_ ~parent:_ ->
+                incr visited);
+            let ok = ref (Batch.groups b = !visited) in
+            Array.iteri
+              (fun lane m ->
+                let want =
+                  Engine.compute g policy dep ~dst ~attacker:(Some m)
+                in
+                let got = Batch.decode ~into b ~lane in
+                if
+                  not
+                    (check_none
+                       (Printf.sprintf "reused ws + into, n %d lane %d" n lane)
+                       (outcome_mismatch want got))
+                then ok := false)
+              attackers;
+            !ok)
+          [
+            (3, 5, false);
+            (3, 9, false);
+            (70, 90, true);
+            (3, 17, false);
+            (3, 33, false);
+            (100, 120, true);
+            (3, 12, false);
+            (70, 90, true);
+            (3, 40, false);
+          ]
       in
       ok
       &&

@@ -333,6 +333,85 @@ let test_tiers_partition =
       in
       total = Graph.n g)
 
+(* The list-sort classification [Tiers.classify] replaced, kept as its
+   specification: the same precedence, with the candidate orders built
+   by sorting boxed lists through a degree closure and providers read
+   from the adjacency tables. *)
+let classify_spec ~n_t1 ~n_t2 ~n_t3 ~n_small_cp ~cps g =
+  let n = Graph.n g in
+  let assigned = Array.make n None in
+  let take tier candidates count =
+    let taken = ref 0 in
+    List.iter
+      (fun v ->
+        if !taken < count && assigned.(v) = None then begin
+          assigned.(v) <- Some tier;
+          incr taken
+        end)
+      candidates
+  in
+  let sorted_by degree =
+    List.sort
+      (fun a b ->
+        match compare (degree b) (degree a) with 0 -> compare a b | c -> c)
+      (List.init n Fun.id)
+  in
+  let by_customer_degree =
+    sorted_by (fun v -> Array.length (Graph.customers g v))
+  in
+  let has_providers v = Array.length (Graph.providers g v) > 0 in
+  take Tiers.T1
+    (List.filter (fun v -> not (has_providers v)) by_customer_degree)
+    n_t1;
+  List.iter
+    (fun v ->
+      if v >= 0 && v < n && assigned.(v) = None then
+        assigned.(v) <- Some Tiers.Cp)
+    cps;
+  let with_providers = List.filter has_providers by_customer_degree in
+  take Tiers.T2 with_providers n_t2;
+  take Tiers.T3 with_providers n_t3;
+  let peer_degree v = Array.length (Graph.peers g v) in
+  take Tiers.Small_cp
+    (List.filter (fun v -> peer_degree v > 0) (sorted_by peer_degree))
+    n_small_cp;
+  Array.mapi
+    (fun v -> function
+      | Some t -> t
+      | None ->
+          if Array.length (Graph.customers g v) = 0 then
+            if peer_degree v > 0 then Tiers.Stub_x else Tiers.Stub
+          else Tiers.Smdg)
+    assigned
+
+(* Small tier quotas on small graphs keep every cutoff inside a run of
+   tied degrees often; the CP list may repeat ids, name a T1 or fall
+   out of range.  Classified once on the adjacency tables and once more
+   after the CSR is built, since the degrees then come from the CSR. *)
+let test_tiers_spec =
+  qtest "classify = list-sort specification" ~count:200 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:50 in
+      let n = Graph.n g in
+      let n_t1 = Rng.int rng 4 and n_t2 = Rng.int rng 6 in
+      let n_t3 = Rng.int rng 6 and n_small_cp = Rng.int rng 6 in
+      let cps = List.init (Rng.int rng 5) (fun _ -> Rng.int rng (n + 2) - 1) in
+      let spec = classify_spec ~n_t1 ~n_t2 ~n_t3 ~n_small_cp ~cps g in
+      let agrees () =
+        let tiers = Tiers.classify ~n_t1 ~n_t2 ~n_t3 ~n_small_cp ~cps g in
+        Array.for_all Fun.id
+          (Array.init n (fun v -> Tiers.tier_of tiers v = spec.(v)))
+        && List.for_all
+             (fun t ->
+               Tiers.members tiers t
+               = Array.of_list
+                   (List.filter (fun v -> spec.(v) = t) (List.init n Fun.id)))
+             Tiers.all_tiers
+      in
+      let on_tables = agrees () in
+      ignore (Graph.csr g);
+      on_tables && agrees ())
+
 let test_stubs_of () =
   let g = graph 5 [ c2p 1 0; c2p 2 0; c2p 3 1; c2p 4 2; c2p 3 2 ] in
   (* stubs: 3 (providers 1,2), 4 (provider 2). *)
@@ -393,6 +472,7 @@ let () =
         [
           Alcotest.test_case "table 1 classification" `Quick test_tiers;
           test_tiers_partition;
+          test_tiers_spec;
           Alcotest.test_case "stubs_of" `Quick test_stubs_of;
         ] );
       ("ixp", [ test_ixp_augment ]);
