@@ -76,7 +76,14 @@ let context n seed ixp scale domains graph_file =
   match graph_file with
   | None -> Core.Experiments.Context.make ~n ~seed ~ixp ~scale ?domains ()
   | Some path ->
-      let g = load_graph path in
+      (* Malformed, truncated or unreadable input is a usage error: one
+         line naming the defect, exit 2 (as for a bad SBGP_CHECK). *)
+      let g =
+        try load_graph path
+        with Failure msg | Sys_error msg ->
+          prerr_endline ("sbgp: " ^ msg);
+          exit 2
+      in
       let g =
         if ixp then fst (Core.Ixp.augment (Core.Rng.create (seed + 1)) g)
         else g
@@ -235,6 +242,11 @@ let exp_cmd =
       const run $ n_arg $ seed_arg $ ixp_arg $ scale_arg $ domains_arg
       $ graph_arg $ out_dir $ check_flag $ which)
 
+(* `sbgp check` runs one pass: the checker passes together by default,
+   or the one its flag names. *)
+type checks = All | Incremental | Kernel | Optimize | Topology | Alloc
+type pass = Rules | Static | Checks of checks
+
 let check_cmd =
   let pairs_arg =
     Arg.(
@@ -269,12 +281,6 @@ let check_cmd =
             "Also run the mutant suite: deliberately broken inputs the \
              checker must flag (guards against false negatives).")
   in
-  let rules_arg =
-    Arg.(
-      value & flag
-      & info [ "rules" ]
-          ~doc:"List every diagnostic rule id with a description and exit.")
-  in
   let inc_pairs_arg =
     Arg.(
       value
@@ -284,76 +290,56 @@ let check_cmd =
             "Number of pairs compared by the incremental-evaluation pass \
              (scaled by --scale).")
   in
-  let incremental_arg =
+  let pass_arg =
+    let pass v name doc = (v, Arg.info [ name ] ~doc) in
     Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Run only the incremental pass: evaluation along a seeded \
-             rollout chain must be bit-identical to from-scratch \
-             computation at every step (uses the context's worker pool).")
-  in
-  let kernel_arg =
-    Arg.(
-      value & flag
-      & info [ "kernel" ]
-          ~doc:
-            "Run only the kernel pass: the packed CSR engine and the \
-             destination-major batched kernel are replayed against the \
-             reference kernel and must be bit-identical (the batched \
-             sub-pass decodes every lane of sampled attacker words and \
-             pinpoints the first divergent destination/word/bit).")
-  in
-  let optimize_arg =
-    Arg.(
-      value & flag
-      & info [ "optimize" ]
-          ~doc:
-            "Run only the optimize pass: the CELF lazy greedy of the \
-             Max-k optimizer is replayed against the naive full-re-eval \
-             greedy on the Appendix-I set-cover gadget and seeded \
-             instances over the context graph, demanding the \
-             bit-identical pick sequence and H bounds (H is not proven \
-             submodular, so laziness is gated, not assumed).")
-  in
-  let topology_arg =
-    Arg.(
-      value & flag
-      & info [ "topology" ]
-          ~doc:
-            "Run only the topology pass: the off-heap CSR is compared \
-             against the adjacency-table view, binary snapshots must \
-             round-trip bit-identically (and reject a corrupted payload), \
-             and topology-delta replay must be bit-identical to \
-             from-scratch computation along a seeded delta chain.")
-  in
-  let alloc_arg =
-    Arg.(
-      value & flag
-      & info [ "alloc" ]
-          ~doc:
-            "Run only the allocation gate: minor words per (destination, \
-             attacker) pair of the scalar, batched and reference kernels \
-             with reused workspaces, measured against recorded budgets; \
-             every measured loop is identity-gated and a cold-vs-warm \
-             probe of the metric cache demands bit-identical H.  Runs \
-             single-domain — the dynamic complement of the static \
-             ast/hot-alloc and ast/cache-pure rules.")
-  in
-  let static_arg =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Run only the typed-AST static analysis (rules ast/*): scan \
-             the .cmt artifacts of lib/ and bin/ for polymorphic/float \
-             comparison in hot paths, determinism taint, unsafe array \
-             access, exception swallowing, and the domain-safety rules \
-             (mutable state escaping into parallel closures, \
-             lock-discipline violations, workspaces crossing a parallel \
-             boundary), honoring tools/astlint/allowlist.txt.  Requires \
-             a prior dune build (set SBGP_CMT_ROOT to point at the build \
-             root explicitly).")
+      value
+      & vflag (Checks All)
+          [
+            pass Rules "rules"
+              "List every diagnostic rule id with a description and exit.";
+            pass Static "static"
+              "Run only the typed-AST static analysis (rules ast/*): scan \
+               the .cmt artifacts of lib/ and bin/ for polymorphic/float \
+               comparison in hot paths, determinism taint, unsafe array \
+               access, exception swallowing, and the domain-safety rules \
+               (mutable state escaping into parallel closures, \
+               lock-discipline violations, workspaces crossing a parallel \
+               boundary), honoring tools/astlint/allowlist.txt.  Requires \
+               a prior dune build (set SBGP_CMT_ROOT to point at the build \
+               root explicitly).";
+            pass (Checks Incremental) "incremental"
+              "Run only the incremental pass: evaluation along a seeded \
+               rollout chain must be bit-identical to from-scratch \
+               computation at every step (uses the context's worker pool).";
+            pass (Checks Kernel) "kernel"
+              "Run only the kernel pass: the packed CSR engine and the \
+               destination-major batched kernel are replayed against the \
+               reference kernel and must be bit-identical (the batched \
+               sub-pass decodes every lane of sampled attacker words and \
+               pinpoints the first divergent destination/word/bit).";
+            pass (Checks Optimize) "optimize"
+              "Run only the optimize pass: the CELF lazy greedy of the \
+               Max-k optimizer is replayed against the naive full-re-eval \
+               greedy on the Appendix-I set-cover gadget and seeded \
+               instances over the context graph, demanding the \
+               bit-identical pick sequence and H bounds (H is not proven \
+               submodular, so laziness is gated, not assumed).";
+            pass (Checks Topology) "topology"
+              "Run only the topology pass: the off-heap CSR is compared \
+               against the adjacency-table view, binary snapshots must \
+               round-trip bit-identically (and reject a corrupted payload), \
+               and topology-delta replay must be bit-identical to \
+               from-scratch computation along a seeded delta chain.";
+            pass (Checks Alloc) "alloc"
+              "Run only the allocation gate: minor words per (destination, \
+               attacker) pair of the scalar, batched and reference kernels \
+               with reused workspaces, measured against recorded budgets; \
+               every measured loop is identity-gated and a cold-vs-warm \
+               probe of the metric cache demands bit-identical H.  Runs \
+               single-domain — the dynamic complement of the static \
+               ast/hot-alloc and ast/cache-pure rules.";
+          ])
   in
   let run_static () =
     match Core.Analysis.Cmt_loader.locate_build_root () with
@@ -379,66 +365,66 @@ let check_cmd =
           exit 1
   in
   let run n seed ixp scale domains graph_file pairs det_pairs claim mutants
-      rules inc_pairs incremental kernel optimize topology alloc static =
-    if rules then
-      List.iter
-        (fun (id, doc) -> Printf.printf "%-26s %s\n" id doc)
-        Core.Check.Diagnostic.catalogue
-    else if static then run_static ()
-    else begin
-      let ctx = context n seed ixp scale domains graph_file in
-      Printf.printf "context: %s\n%!" (Core.Experiments.Context.describe ctx);
-      let scaled = Core.Experiments.Context.scaled ctx in
-      let options =
-        {
-          Core.Check.default_options with
-          Core.Check.seed;
-          pairs = scaled pairs;
-          det_pairs = scaled det_pairs;
-          inc_pairs = scaled inc_pairs;
-          attacker_claim = claim;
-        }
-      in
-      (* With --ixp on a generated graph, the pre-augmentation base is
-         reproducible from the seed; hand it to the lint pass so the
-         augmentation itself is checked too. *)
-      let base =
-        if ixp && graph_file = None then
-          Some
-            (Core.Topogen.generate
-               ~params:(Core.Topogen.default_params ~n)
-               (Core.Rng.create seed))
-            |> Option.map (fun r -> r.Core.Topogen.graph)
-        else None
-      in
-      let report =
-        if incremental then
-          Core.Check.run_incremental ~options
-            ~pool:(Core.Experiments.Context.pool ctx)
-            ctx.Core.Experiments.Context.graph
-        else if kernel then
-          Core.Check.run_kernel ~options ctx.Core.Experiments.Context.graph
-        else if optimize then
-          Core.Check.run_optimize ~options
-            ~pool:(Core.Experiments.Context.pool ctx)
-            ctx.Core.Experiments.Context.graph
-        else if topology then
-          Core.Check.run_topology ~options ctx.Core.Experiments.Context.graph
-        else if alloc then
-          Core.Check.run_alloc ~options ctx.Core.Experiments.Context.graph
-        else
-          Core.Check.run ~options
-            ~tiers:ctx.Core.Experiments.Context.tiers ?base
-            ctx.Core.Experiments.Context.graph
-      in
-      let report =
-        if mutants then
-          Core.Check.Diagnostic.merge report (Core.Check.Mutants.report ())
-        else report
-      in
-      print_string (Core.Check.Diagnostic.summary report);
-      if not (Core.Check.Diagnostic.ok report) then exit 1
-    end
+      inc_pairs pass =
+    match pass with
+    | (Rules | Static) when mutants ->
+        prerr_endline
+          "sbgp: --mutants cannot be combined with --rules or --static";
+        exit 2
+    | Rules ->
+        List.iter
+          (fun (id, doc) -> Printf.printf "%-26s %s\n" id doc)
+          Core.Check.Diagnostic.catalogue
+    | Static -> run_static ()
+    | Checks checks ->
+        let ctx = context n seed ixp scale domains graph_file in
+        Printf.printf "context: %s\n%!" (Core.Experiments.Context.describe ctx);
+        let scaled = Core.Experiments.Context.scaled ctx in
+        let options =
+          {
+            Core.Check.default_options with
+            Core.Check.seed;
+            pairs = scaled pairs;
+            det_pairs = scaled det_pairs;
+            inc_pairs = scaled inc_pairs;
+            attacker_claim = claim;
+          }
+        in
+        let g = ctx.Core.Experiments.Context.graph in
+        (* Only the passes that fan out force the context's pool: the
+           allocation gate wants a process whose minor heap no worker
+           domain has shared. *)
+        let pool () = Core.Experiments.Context.pool ctx in
+        let report =
+          match checks with
+          | Incremental -> Core.Check.run_incremental ~options ~pool:(pool ()) g
+          | Kernel -> Core.Check.run_kernel ~options g
+          | Optimize -> Core.Check.run_optimize ~options ~pool:(pool ()) g
+          | Topology -> Core.Check.run_topology ~options g
+          | Alloc -> Core.Check.run_alloc ~options g
+          | All ->
+              (* With --ixp on a generated graph, the pre-augmentation
+                 base is reproducible from the seed; hand it to the lint
+                 pass so the augmentation itself is checked too. *)
+              let base =
+                if ixp && graph_file = None then
+                  Some
+                    (Core.Topogen.generate
+                       ~params:(Core.Topogen.default_params ~n)
+                       (Core.Rng.create seed))
+                      .Core.Topogen.graph
+                else None
+              in
+              Core.Check.run ~options
+                ~tiers:ctx.Core.Experiments.Context.tiers ?base g
+        in
+        let report =
+          if mutants then
+            Core.Check.Diagnostic.merge report (Core.Check.Mutants.report ())
+          else report
+        in
+        print_string (Core.Check.Diagnostic.summary report);
+        if not (Core.Check.Diagnostic.ok report) then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -448,8 +434,7 @@ let check_cmd =
     Term.(
       const run $ n_arg $ seed_arg $ ixp_arg $ scale_arg $ domains_arg
       $ graph_arg $ pairs_arg $ det_pairs_arg $ claim_arg $ mutants_arg
-      $ rules_arg $ inc_pairs_arg $ incremental_arg $ kernel_arg
-      $ optimize_arg $ topology_arg $ alloc_arg $ static_arg)
+      $ inc_pairs_arg $ pass_arg)
 
 let info_cmd =
   let run n seed ixp scale domains graph_file =

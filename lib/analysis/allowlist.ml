@@ -86,5 +86,3 @@ let find t ~rule sym =
   List.find_opt
     (fun e -> e.rule = rule && Syms.spec_matches ~spec:e.target sym)
     t.entries
-
-let permits t ~rule sym = find t ~rule sym <> None

@@ -13,4 +13,3 @@ val empty : t
 val parse_string : string -> (t, string) result
 val load : string -> (t, string) result
 val find : t -> rule:string -> string -> entry option
-val permits : t -> rule:string -> string -> bool

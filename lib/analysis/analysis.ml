@@ -173,8 +173,7 @@ let fixture_config allow budget =
     rng_scopes = [];
     domain_scopes = [ fixture_dir ];
     par_entries =
-      [ "Parallel.map"; "Parallel.map_reduce"; "Parallel.Pool.map";
-        "Stdlib.Domain.spawn" ];
+      [ "Parallel.map"; "Parallel.Pool.map"; "Stdlib.Domain.spawn" ];
     lock_brackets = [ "Stdlib.Mutex.protect" ];
     workspace_specs = [ "Routing.Engine.Workspace.t" ];
     hot_entries = [ "Astlint_fixtures.A9_hot_alloc.kernel_entry" ];

@@ -13,8 +13,6 @@ val successors : t -> string -> (string * int) list
 (** Deterministic first-seen order; line of the first reference. *)
 
 val source_of : t -> string -> string option
-val nodes : t -> string list
-(** All defined symbols, sorted. *)
 
 type reach = {
   parent : (string, string option) Hashtbl.t;

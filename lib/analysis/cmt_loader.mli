@@ -7,10 +7,6 @@ type unit_file = {
                         e.g. ["lib/routing/engine.ml"] *)
 }
 
-val env_root : string
-(** Environment variable overriding build-root discovery
-    (["SBGP_CMT_ROOT"]). *)
-
 val scan : root:string -> dirs:string list -> string list
 (** All [.cmt] files under [root]/[dir] for each [dir], found inside
     dune's [.<lib>.objs/byte] and [.<exe>.eobjs/byte] directories, in

@@ -84,7 +84,3 @@ let guard t ~rectype ~field =
   match Hashtbl.find_opt t.recs rectype with
   | Some info when List.mem field info.guarded -> Some info.mutex_field
   | _ -> None
-
-let guarded_types t =
-  Hashtbl.fold (fun name info acc -> (name, info) :: acc) t.recs []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

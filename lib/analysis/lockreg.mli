@@ -7,8 +7,6 @@
     array).  Types whose mutex does not guard all such siblings need an
     allowlist entry stating the real invariant. *)
 
-type info = { mutex_field : string; guarded : string list }
-
 type t
 
 val build : Unit_info.t list -> t
@@ -18,6 +16,3 @@ val build : Unit_info.t list -> t
 val guard : t -> rectype:string -> field:string -> string option
 (** [guard t ~rectype ~field] is [Some mutex_field] when [field] of
     [rectype] is inferred to be guarded by that sibling mutex. *)
-
-val guarded_types : t -> (string * info) list
-(** All inferred guards, sorted by type name — for tests and docs. *)

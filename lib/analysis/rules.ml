@@ -114,8 +114,7 @@ let default ?(allow = Allowlist.empty) ?(budget = Budget.empty) () =
     rng_scopes = [ "lib/rng" ];
     domain_scopes = [ "lib"; "bin" ];
     par_entries =
-      [ "Parallel.map"; "Parallel.map_reduce"; "Parallel.Pool.map";
-        "Stdlib.Domain.spawn" ];
+      [ "Parallel.map"; "Parallel.Pool.map"; "Stdlib.Domain.spawn" ];
     lock_brackets =
       [ "Prelude.Shard_cache.with_shard"; "Stdlib.Mutex.protect" ];
     workspace_specs =

@@ -18,4 +18,3 @@ type t
 
 val build : Unit_info.t list -> t
 val classify : ?depth:int -> t -> Types.type_expr -> verdict
-val describe : t -> Types.type_expr -> string

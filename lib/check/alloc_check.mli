@@ -13,14 +13,6 @@
     Rules: [alloc/minor-budget], [alloc/identity],
     [alloc/cache-consistency]. *)
 
-type budgets = { scalar : float; batch : float; reference : float }
-
-val default_budgets : budgets
-(** Minor words per pair ([scalar], [batch]) and per pair per AS
-    ([reference] — the list-based reference kernel allocates O(n) per
-    pair by design, so only the normalized rate is scale-free), with
-    ~2x headroom over the measured steady state. *)
-
 val analyze :
   ?pairs:int ->
   ?tamper:(unit -> unit) ->

@@ -31,6 +31,9 @@ let class_code out v =
     | Routing.Policy.Peer -> 1
     | Routing.Policy.Provider -> 2
 
+(* Fingerprint of a stable state: folds every AS's reached / class /
+   length / secure / to-d / to-m / next-hop fields, so two outcomes
+   digest equal iff (modulo hash collision) they are field-identical. *)
 let digest out =
   let h = ref 0x1000193 in
   let mix x = h := (((!h * 0x100000001b3) lxor x) + 0x2545f49) land max_int in

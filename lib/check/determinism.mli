@@ -30,14 +30,6 @@ val default_configs : unit -> config list
     reuse (parallel width from {!Parallel.default_domains}, clamped to
     keep transient pools cheap). *)
 
-val pp_config : config -> string
-
-val digest : Routing.Outcome.t -> int
-(** Order-independent-of-nothing fingerprint of a stable state: folds
-    every AS's reached/class/length/secure/to-d/to-m/next-hop fields.
-    Two outcomes digest equal iff (modulo hash collision) they are
-    field-identical. *)
-
 val analyze :
   ?tiebreak:Routing.Engine.tiebreak ->
   ?attacker_claim:int ->

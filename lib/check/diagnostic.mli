@@ -16,11 +16,8 @@ type t = {
   message : string;
 }
 
-val make : rule:string -> severity -> ?subjects:int list -> string -> t
 val error : rule:string -> ?subjects:int list -> string -> t
 val warning : rule:string -> ?subjects:int list -> string -> t
-
-val severity_name : severity -> string
 
 val to_string : t -> string
 (** ["error topo/self-loop [AS 3]: peers table of AS 3 contains itself"] *)

@@ -16,12 +16,6 @@ type t = {
 
 val all : t list
 
-val detected : t -> bool
-(** The mutant's diagnostics contain [expected_rule]. *)
-
-val run_all : unit -> (t * bool) list
-(** Every mutant with its detection status, in [all] order. *)
-
 val report : unit -> Diagnostic.report
 (** One pass entry per mutant class; an [Error] diagnostic (rule
     [check/false-negative]) for every undetected mutant, so a clean

@@ -20,22 +20,6 @@ val compare_results :
     bitwise.  The qcheck suite in test/test_optimize.ml reuses this as
     its identity gate. *)
 
-val compare_instance :
-  ?pool:Parallel.Pool.t ->
-  ?fault:Optimize.Max_k.fault ->
-  label:string ->
-  objective:Optimize.objective ->
-  base:Deployment.t ->
-  pairs:Metric.H_metric.pair array ->
-  k:int ->
-  candidates:int array ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  int * Diagnostic.t list
-(** Run both solvers on one instance and compare.  [fault] is injected
-    into the CELF side only (the mutant hook).  Returns (items,
-    diagnostics). *)
-
 val gadget :
   ?fault:Optimize.Max_k.fault -> unit -> int * Diagnostic.t list
 (** The deterministic set-cover instance (universe 10, three sets with

@@ -56,13 +56,6 @@ let partition_fractions_among ?pool g policy pairs ~sources =
 let h ?pool ?cache g policy dep pairs =
   Metric.H_metric.h_metric ?pool ?cache g policy dep pairs
 
-let delta_h ?pool ?cache g policy dep pairs =
-  let base =
-    h ?pool ?cache g policy (Deployment.empty (Topology.Graph.n g)) pairs
-  in
-  let with_s = h ?pool ?cache g policy dep pairs in
-  (base, with_s, Metric.H_metric.bounds_improvement with_s base)
-
 let header title paper =
   Printf.sprintf "=== %s ===\n(paper: %s)\n" title paper
 

@@ -37,18 +37,6 @@ val h :
   Metric.H_metric.pair array ->
   Metric.H_metric.bounds
 
-val delta_h :
-  ?pool:Parallel.Pool.t ->
-  ?cache:Metric.H_metric.Cache.t ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  Deployment.t ->
-  Metric.H_metric.pair array ->
-  Metric.H_metric.bounds * Metric.H_metric.bounds * Metric.H_metric.bounds
-(** (baseline, with deployment, improvement).  [cache] (normally
-    {!Context.cache}) memoizes the per-pair bounds, so e.g. the empty
-    baseline is computed once per (policy, pair) across experiments. *)
-
 val header : string -> string -> string
 
 val rollout_attackers : Context.t -> k:int -> int array

@@ -1,19 +1,7 @@
 type bounds = { lb : float; ub : float }
 
-let bounds_add a b = { lb = a.lb +. b.lb; ub = a.ub +. b.ub }
-let bounds_sub a b = { lb = a.lb -. b.ub; ub = a.ub -. b.lb }
 let bounds_improvement after before =
   { lb = after.lb -. before.lb; ub = after.ub -. before.ub }
-let bounds_scale k b = { lb = k *. b.lb; ub = k *. b.ub }
-
-let pp_bounds b =
-  (* Collapse to a single number exactly when both endpoints render the
-     same at the printed precision — an epsilon test at a different
-     granularity (the old 5e-4) collapsed bounds that print differently,
-     e.g. 0.12% vs 0.16%. *)
-  let lo = Printf.sprintf "%.1f%%" (100. *. b.lb) in
-  let hi = Printf.sprintf "%.1f%%" (100. *. b.ub) in
-  if String.equal lo hi then lo else Printf.sprintf "[%s, %s]" lo hi
 
 type counts = { happy_lb : int; happy_ub : int; sources : int }
 
@@ -322,6 +310,10 @@ module Cache = struct
         k4 = dst;
       }
 
+  (* [find t policy g dep ~version p] with [version = intern t g dep].
+     The deployment is consulted only for key normalization (does
+     [p.dst] sign?), the graph only for the unsigned-destination slot;
+     the version carries the identity. *)
   let find t policy g dep ~version p =
     Sc.find t.store (key policy g dep ~version p)
 

@@ -10,23 +10,11 @@
 
 type bounds = { lb : float; ub : float }
 
-val bounds_add : bounds -> bounds -> bounds
-val bounds_sub : bounds -> bounds -> bounds
-(** Worst-case interval difference:
-    [{ lb = a.lb -. b.ub; ub = a.ub -. b.lb }]. *)
-
 val bounds_improvement : bounds -> bounds -> bounds
 (** [bounds_improvement after before] compares like with like — the
     pessimistic-tiebreak worlds and the optimistic-tiebreak worlds:
     [{ lb = after.lb -. before.lb; ub = after.ub -. before.ub }].  This is
     how the paper's Figures 7-12 report changes in the metric. *)
-
-val bounds_scale : float -> bounds -> bounds
-
-val pp_bounds : bounds -> string
-(** Renders at 0.1-percentage-point precision; the bounds collapse to a
-    single number exactly when both endpoints print identically at that
-    precision, so distinct printed bounds are never conflated. *)
 
 type counts = { happy_lb : int; happy_ub : int; sources : int }
 
@@ -84,29 +72,6 @@ module Cache : sig
 
   val intern : t -> Topology.Graph.t -> Deployment.t -> int
   (** Stable small-int version of a deployment's content on this graph. *)
-
-  val find :
-    t ->
-    Routing.Policy.t ->
-    Topology.Graph.t ->
-    Deployment.t ->
-    version:int ->
-    pair ->
-    bounds option
-  (** [find t policy g dep ~version p] with [version = intern t g dep].
-      The deployment is consulted only for key normalization (does
-      [p.dst] sign?), the graph only for the unsigned-destination slot;
-      the version carries the identity. *)
-
-  val store :
-    t ->
-    Routing.Policy.t ->
-    Topology.Graph.t ->
-    Deployment.t ->
-    version:int ->
-    pair ->
-    bounds ->
-    unit
 
   val carry :
     t ->

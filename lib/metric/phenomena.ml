@@ -8,14 +8,6 @@ type downgrade = {
 let downgrade_zero =
   { secure_normal = 0; downgraded = 0; secure_after = 0; sources = 0 }
 
-let downgrade_add a b =
-  {
-    secure_normal = a.secure_normal + b.secure_normal;
-    downgraded = a.downgraded + b.downgraded;
-    secure_after = a.secure_after + b.secure_after;
-    sources = a.sources + b.sources;
-  }
-
 (* The [int] annotation pins the comparisons to the immediate-int
    primitives; unannotated this generalizes to ['a] and every call
    dispatches through the polymorphic runtime. *)

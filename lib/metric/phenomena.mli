@@ -26,9 +26,6 @@ val downgrades :
     attacker are excluded from [secure_normal] — Theorem 3.1 exempts them,
     since the attacker attracts their traffic without attacking. *)
 
-val downgrade_zero : downgrade
-val downgrade_add : downgrade -> downgrade -> downgrade
-
 type root_cause = {
   sources : int;
   rc_secure_normal : int;   (** secure routes under normal conditions *)

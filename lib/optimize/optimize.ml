@@ -11,13 +11,6 @@ let happy_with ?(objective = `Lb) g policy dep ~attacker ~dst =
   | `Lb -> counts.M.happy_lb
   | `Ub -> counts.M.happy_ub
 
-type picks = {
-  chosen : int array;
-  requested : int;
-  achieved : int;
-  happy : int;
-}
-
 (* Enumerate k-subsets of [candidates], invoking [f] on each (as a list). *)
 let iter_subsets candidates k f =
   let n = Array.length candidates in
@@ -33,71 +26,6 @@ let iter_subsets candidates k f =
       done
   in
   go 0 [] k
-
-let deployment_of g chosen =
-  Deployment.make ~n:(Topology.Graph.n g) ~full:(Array.of_list chosen) ()
-
-let greedy ?objective g policy ~attacker ~dst ~k ~candidates =
-  if k < 0 then
-    invalid_arg (Printf.sprintf "Optimize.greedy: k = %d < 0" k);
-  let in_chosen = Prelude.Bitset.create (Topology.Graph.n g) in
-  let chosen = ref [] in
-  let achieved = ref 0 in
-  let best_count =
-    ref (happy_with ?objective g policy (deployment_of g []) ~attacker ~dst)
-  in
-  (try
-     for _ = 1 to k do
-       let best_cand = ref None in
-       Array.iter
-         (fun c ->
-           if not (Prelude.Bitset.mem in_chosen c) then begin
-             let count =
-               happy_with ?objective g policy
-                 (deployment_of g (c :: !chosen))
-                 ~attacker ~dst
-             in
-             match !best_cand with
-             | Some (_, b) when count <= b -> ()
-             | _ -> best_cand := Some (c, count)
-           end)
-         candidates;
-       match !best_cand with
-       | Some (c, count) ->
-           Prelude.Bitset.add in_chosen c;
-           chosen := c :: !chosen;
-           incr achieved;
-           best_count := count
-       | None -> raise Exit (* candidates exhausted: stop early *)
-     done
-   with Exit -> ());
-  {
-    chosen = Array.of_list (List.rev !chosen);
-    requested = k;
-    achieved = !achieved;
-    happy = !best_count;
-  }
-
-let exhaustive ?objective g policy ~attacker ~dst ~k ~candidates =
-  let best = ref None in
-  iter_subsets candidates k (fun subset ->
-      let count =
-        happy_with ?objective g policy (deployment_of g subset) ~attacker ~dst
-      in
-      match !best with
-      | Some (_, b) when count <= b -> ()
-      | _ -> best := Some (subset, count));
-  match !best with
-  | Some (subset, count) ->
-      {
-        chosen = Array.of_list subset;
-        requested = k;
-        achieved = List.length subset;
-        happy = count;
-      }
-  | None ->
-      (* iter_subsets yields at least one subset for every validated k. *)
-      assert false
 
 module Max_k = struct
   type step = {

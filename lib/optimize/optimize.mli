@@ -24,9 +24,9 @@
     seeded instances — same pick sequence, bit-identical bounds
     ([sbgp check --optimize]).
 
-    The single-pair helpers ({!happy_with}, {!greedy}, {!exhaustive})
-    remain for the reduction gadget and for exhaustive ground truth on
-    tiny instances. *)
+    {!happy_with} and {!iter_subsets} are the single-pair primitives
+    the reduction's brute-force deciders ({!Set_cover}) are built on;
+    no experiment optimizes a single pair. *)
 
 type objective = [ `Lb | `Ub ]
 (** Which endpoint of the H-metric bounds an optimizer maximizes.
@@ -47,53 +47,12 @@ val happy_with :
     lower-bound semantics, matching the reduction's requirement that
     tied ASes prefer the attacker). *)
 
-type picks = {
-  chosen : int array;  (** the selected ASes, in pick order *)
-  requested : int;  (** the [k] that was asked for *)
-  achieved : int;  (** [Array.length chosen]; may be [< requested] *)
-  happy : int;  (** happy-source count of the final selection *)
-}
-(** Result of the single-pair solvers.  [achieved < requested] means the
-    solver ran out of fresh candidates and stopped early — callers must
-    check rather than assume [k] picks were made. *)
-
 val iter_subsets : int array -> int -> (int list -> unit) -> unit
 (** [iter_subsets candidates k f] calls [f] on every [k]-subset of
     [candidates], in lexicographic position order.  Raises
     [Invalid_argument] (naming the offending [k] and [n]) when [k < 0]
     or [k > Array.length candidates] — it never silently yields
     nothing. *)
-
-val greedy :
-  ?objective:objective ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  attacker:int ->
-  dst:int ->
-  k:int ->
-  candidates:int array ->
-  picks
-(** [greedy g policy ~attacker ~dst ~k ~candidates] adds, up to [k]
-    times, the candidate whose securing most increases the happy count
-    under [objective] (default [`Lb]); ties keep the earliest candidate
-    position, and already-chosen candidates are skipped via an int
-    bitset.  Stops early when candidates run out ([achieved] says how
-    many picks were made).  Raises [Invalid_argument] when [k < 0] or a
-    candidate id is outside the graph. *)
-
-val exhaustive :
-  ?objective:objective ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  attacker:int ->
-  dst:int ->
-  k:int ->
-  candidates:int array ->
-  picks
-(** Optimal solution by enumerating all [k]-subsets of [candidates]
-    (first-found on ties); only for small instances.  Optimizes
-    [objective] (default [`Lb]).  Raises [Invalid_argument] via
-    {!iter_subsets} when [k] is out of range. *)
 
 (** Pair-set Max-k-Security over the full H-metric bounds. *)
 module Max_k : sig

@@ -201,6 +201,3 @@ let map ?pool ?domains ?chunk f items =
             ~finally:(fun () -> Pool.shutdown p)
             (fun () -> Pool.map ?chunk p f items)
         end)
-
-let map_reduce ?pool ?domains ~map:f ~combine neutral items =
-  Array.fold_left combine neutral (map ?pool ?domains f items)

@@ -12,8 +12,8 @@
       atomic chunk index (work stealing).  Spawning a domain costs far
       more than one routing computation, so the experiment suite creates
       one pool and reuses it for every [map].
-    - {!map} / {!map_reduce}: convenience wrappers that borrow the
-      lazily-created default pool (sized by [SBGP_DOMAINS]). *)
+    - {!map}: a convenience wrapper that borrows the lazily-created
+      default pool (sized by [SBGP_DOMAINS]). *)
 
 val default_domains : unit -> int
 (** [SBGP_DOMAINS] from the environment if set, otherwise the runtime's
@@ -66,14 +66,3 @@ val map :
     the default pool (or a transient pool when the default pool is
     sequential).  [chunk] is the stealing granularity of {!Pool.map}.
     Output order always matches input order. *)
-
-val map_reduce :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  map:('a -> 'b) ->
-  combine:('b -> 'b -> 'b) ->
-  'b ->
-  'a array ->
-  'b
-(** Fold the mapped results with [combine] (applied in deterministic
-    left-to-right order, seeded with the given neutral element). *)

@@ -14,9 +14,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Array.make ((n + word_bits - 1) / word_bits) 0; n; card = 0 }
 
-let length t = t.n
-let words t = Array.length t.words
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg "Bitset: index out of bounds"
 
@@ -31,15 +28,6 @@ let add t i =
   if w land bit = 0 then begin
     t.words.(i / word_bits) <- w lor bit;
     t.card <- t.card + 1
-  end
-
-let remove t i =
-  check t i;
-  let w = t.words.(i / word_bits) in
-  let bit = 1 lsl (i mod word_bits) in
-  if w land bit <> 0 then begin
-    t.words.(i / word_bits) <- w land lnot bit;
-    t.card <- t.card - 1
   end
 
 let clear t =
@@ -72,20 +60,6 @@ let rec iter_bits f base w =
     iter_bits f base (w lxor b)
   end
 
-let iter_word f w = iter_bits f 0 w
-
-let get_word t j =
-  if j < 0 || j >= Array.length t.words then
-    invalid_arg "Bitset.get_word: word index out of bounds";
-  t.words.(j)
-
-let fold_words f t init =
-  let acc = ref init in
-  for j = 0 to Array.length t.words - 1 do
-    acc := f j t.words.(j) !acc
-  done;
-  !acc
-
 let iter_set f t =
   for j = 0 to Array.length t.words - 1 do
     iter_bits f (j * word_bits) t.words.(j)
@@ -98,34 +72,13 @@ let fold f t init =
   iter_set (fun i -> acc := f i !acc) t;
   !acc
 
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let of_list n items =
-  let t = create n in
-  List.iter (add t) items;
-  t
-
-let copy t = { words = Array.copy t.words; n = t.n; card = t.card }
-
-let recount t =
-  let c = ref 0 in
-  Array.iter (fun w -> c := !c + popcount_word w) t.words;
-  t.card <- !c
-
-let same_universe name ~into src =
-  if into.n <> src.n then
-    invalid_arg (name ^ ": universe sizes differ")
-
 let union_into ~into src =
-  same_universe "Bitset.union_into" ~into src;
+  if into.n <> src.n then
+    invalid_arg "Bitset.union_into: universe sizes differ";
+  let c = ref 0 in
   for j = 0 to Array.length into.words - 1 do
-    into.words.(j) <- into.words.(j) lor src.words.(j)
+    let w = into.words.(j) lor src.words.(j) in
+    into.words.(j) <- w;
+    c := !c + popcount_word w
   done;
-  recount into
-
-let diff_into ~into src =
-  same_universe "Bitset.diff_into" ~into src;
-  for j = 0 to Array.length into.words - 1 do
-    into.words.(j) <- into.words.(j) land lnot src.words.(j)
-  done;
-  recount into
+  into.card <- !c

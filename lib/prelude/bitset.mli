@@ -4,8 +4,7 @@
     The word granularity is part of the interface: the batched routing
     kernel ({!Routing.Batch}) identifies "one attacker" with "one bit of
     a word", so a single CSR frontier scan advances up to {!word_bits}
-    attackers at once, and the word-level accessors below let callers
-    build and consume those lane masks without re-packing. *)
+    attackers at once. *)
 
 type t
 
@@ -19,34 +18,15 @@ val create : int -> t
 (** [create n] is the empty set over the universe [0 .. n-1].
     Raises [Invalid_argument] if [n < 0]. *)
 
-val length : t -> int
-(** Universe size. *)
-
-val words : t -> int
-(** Number of backing words, [(length + word_bits - 1) / word_bits]. *)
-
 val mem : t -> int -> bool
 val add : t -> int -> unit
-val remove : t -> int -> unit
-(** Membership, insertion, deletion.  All raise [Invalid_argument] when
-    the index is outside [0 .. length - 1]. *)
+(** Membership and insertion.  Both raise [Invalid_argument] when the
+    index is outside the universe. *)
 
 val clear : t -> unit
 
 val cardinal : t -> int
 (** Number of members; O(1). *)
-
-val get_word : t -> int -> int
-(** [get_word t j] is backing word [j]: bit [b] (0 ≤ b < {!word_bits})
-    is set iff [j * word_bits + b] is a member.  Bits at or above the
-    universe bound are always 0.  Raises [Invalid_argument] unless
-    [0 <= j < words t]. *)
-
-val fold_words : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold_words f t init] folds [f j word acc] over every backing word
-    in ascending word order, including zero words — the fold visits
-    exactly [words t] entries, so word indices line up across sets of
-    the same universe. *)
 
 val iter_set : (int -> unit) -> t -> unit
 (** [iter_set f t] applies [f] to every member in ascending order.
@@ -62,26 +42,13 @@ val union_into : into:t -> t -> unit
     differ (a word-wise merge of different universes would silently
     misalign lanes). *)
 
-val diff_into : into:t -> t -> unit
-(** [diff_into ~into src] removes every member of [src] from [into],
-    word at a time.  Same universe-size check as {!union_into}. *)
-
 val popcount_word : int -> int
 (** Number of set bits in a raw word (any OCaml int, sign bit
     included).  One loop iteration per set bit. *)
-
-val iter_word : (int -> unit) -> int -> unit
-(** [iter_word f w] applies [f] to the index of every set bit of the
-    raw word [w] in ascending order (0 ≤ index ≤ 62).  Usable on lane
-    masks that never lived in a set.  O(1) per set bit, whatever its
-    index.  To count lanes over many masks, {!Lane_counter.add} takes a
-    whole mask in amortized O(1) instead of one call per bit. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Alias of {!iter_set} (kept for callers of the byte-backed
     predecessor). *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val to_list : t -> int list
-val of_list : int -> int list -> t
-val copy : t -> t
+(** [fold f t init] folds [f] over the members in ascending order. *)

@@ -35,5 +35,3 @@ let to_array t ~lanes =
   if lanes < 0 || lanes > Bitset.word_bits then
     invalid_arg "Lane_counter.to_array: lanes out of range";
   Array.init lanes (get t)
-
-let clear t = Array.fill t.planes 0 (Array.length t.planes) 0

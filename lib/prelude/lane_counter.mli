@@ -29,6 +29,3 @@ val get : t -> int -> int
 val to_array : t -> lanes:int -> int array
 (** [to_array t ~lanes] is [[| get t 0; ...; get t (lanes - 1) |]].
     Raises [Invalid_argument] unless [0 <= lanes <= Bitset.word_bits]. *)
-
-val clear : t -> unit
-(** Reset every lane to 0. *)

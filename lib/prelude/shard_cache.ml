@@ -42,7 +42,6 @@ let create ?(shards = default_shards) () =
     misses = Atomic.make 0;
   }
 
-let shards t = Array.length t.shards
 
 let shard_of t key = t.shards.(hash_key key mod Array.length t.shards)
 

@@ -22,7 +22,6 @@ val create : ?shards:int -> unit -> 'v t
 val find : 'v t -> key -> 'v option
 val store : 'v t -> key -> 'v -> unit
 
-val shards : 'v t -> int
 val length : 'v t -> int
 (** Total entries across shards; takes every shard lock, O(shards). *)
 

@@ -2,16 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.
-  else begin
-    let m = mean xs in
-    let acc = ref 0. in
-    Array.iter (fun x -> acc := !acc +. ((x -. m) *. (x -. m))) xs;
-    sqrt (!acc /. float_of_int n)
-  end
-
 let quantile xs q =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty array";
@@ -27,19 +17,5 @@ let quantile xs q =
     (sorted.(lo) *. (1. -. w)) +. (sorted.(hi) *. w)
   end
 
-let quantiles xs qs = List.map (fun q -> (q, quantile xs q)) qs
 let fraction num denom = if denom = 0 then 0. else float_of_int num /. float_of_int denom
 let percent f = Printf.sprintf "%.1f%%" (100. *. f)
-
-let histogram ~bins ~lo ~hi xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if hi <= lo then invalid_arg "Stats.histogram: hi <= lo";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  Array.iter
-    (fun x ->
-      let b = int_of_float ((x -. lo) /. width) in
-      let b = if b < 0 then 0 else if b >= bins then bins - 1 else b in
-      counts.(b) <- counts.(b) + 1)
-    xs;
-  counts

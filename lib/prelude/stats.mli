@@ -3,16 +3,10 @@
 val mean : float array -> float
 (** Arithmetic mean; 0. on the empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0. on arrays of length < 2. *)
-
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [0,1], by linear interpolation on the sorted
     copy of [xs].  Raises [Invalid_argument] on an empty array or [q]
     outside [0,1]. *)
-
-val quantiles : float array -> float list -> (float * float) list
-(** [(q, quantile xs q)] for each requested [q]. *)
 
 val fraction : int -> int -> float
 (** [fraction num denom] is [num / denom] as a float; 0. when [denom = 0]. *)
@@ -20,7 +14,3 @@ val fraction : int -> int -> float
 val percent : float -> string
 (** Render a fraction in [0,1] as a percentage with one decimal, e.g.
     ["60.3%"]. *)
-
-val histogram : bins:int -> lo:float -> hi:float -> float array -> int array
-(** Fixed-width histogram; values outside [lo,hi] are clamped into the
-    first/last bin. *)

@@ -53,18 +53,3 @@ let to_string t =
   Buffer.contents buf
 
 let print t = print_string (to_string t)
-
-let csv_cell c =
-  if String.exists (fun ch -> ch = ',' || ch = '"' || ch = '\n') c then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' c) ^ "\""
-  else c
-
-let csv t =
-  let buf = Buffer.create 256 in
-  let line cells =
-    Buffer.add_string buf (String.concat "," (List.map csv_cell cells));
-    Buffer.add_char buf '\n'
-  in
-  line t.header;
-  List.iter (function Cells c -> line c | Separator -> ()) (List.rev t.rows);
-  Buffer.contents buf

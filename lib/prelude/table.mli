@@ -10,7 +10,3 @@ val add_row : t -> string list -> unit
 val add_separator : t -> unit
 val to_string : t -> string
 val print : t -> unit
-
-val csv : t -> string
-(** Comma-separated rendering (cells containing commas or quotes are
-    quoted). *)

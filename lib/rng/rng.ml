@@ -13,7 +13,6 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = { state = bits64 t }
 let copy t = { state = t.state }
 
 let int t bound =
@@ -30,14 +29,6 @@ let int t bound =
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let pareto t ~alpha ~xmin =
-  if alpha <= 0. || xmin <= 0. then invalid_arg "Rng.pareto";
-  let u = ref (float t 1.0) in
-  if !u = 0. then u := epsilon_float;
-  xmin /. (!u ** (1. /. alpha))
 
 let geometric t ~p =
   if p <= 0. || p > 1. then invalid_arg "Rng.geometric";

@@ -9,10 +9,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. *)
 
-val split : t -> t
-(** [split t] derives an independent generator and advances [t]; used to
-    hand sub-streams to parallel workers or sub-generators. *)
-
 val copy : t -> t
 
 val bits64 : t -> int64
@@ -23,11 +19,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
-
-val bool : t -> bool
-
-val pareto : t -> alpha:float -> xmin:float -> float
-(** Heavy-tailed sample from a Pareto distribution; used to draw AS degrees. *)
 
 val geometric : t -> p:float -> int
 (** Number of failures before the first success, [p] in (0,1]. *)

@@ -143,10 +143,6 @@ let live t =
   if t.ws.Workspace.epoch <> t.epoch then
     invalid_arg "Batch: result invalidated by a later compute on its workspace"
 
-let attacker t ~lane =
-  if lane < 0 || lane >= t.b_lanes then invalid_arg "Batch.attacker: bad lane";
-  t.b_attackers.(lane)
-
 let all_mask ~lanes = if lanes >= max_lanes then -1 else (1 lsl lanes) - 1
 
 let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep

@@ -76,9 +76,6 @@ val compute :
 
 val lanes : t -> int
 
-val attacker : t -> lane:int -> int
-(** Lane [l]'s attacker. *)
-
 val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> unit
 (** Iterate every frozen group of every reached AS, in ascending AS
     order, all groups of one AS consecutively.  [mask] is the lane

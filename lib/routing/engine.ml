@@ -42,13 +42,9 @@ let pack ~rank ~cls_code ~len ~secure ~flags =
 module Packed = struct
   let to_m_flag = to_m_flag
   let to_d_flag = to_d_flag
-  let secure_flag = secure_flag
-  let cls_shift = cls_shift
-  let len_shift = len_shift
   let len_mask = len_mask
   let rank_shift = rank_shift
   let pack = pack
-  let rank_of w = w lsr rank_shift
   let len_of w = (w lsr len_shift) land len_mask
   let cls_code_of w = (w lsr cls_shift) land 3
   let secure_of w = w land secure_flag <> 0
@@ -57,7 +53,7 @@ module Packed = struct
 
   let describe w =
     Printf.sprintf "rank=%d cls=%d len=%d secure=%b to_d=%b to_m=%b"
-      (rank_of w) (cls_code_of w) (len_of w) (secure_of w) (to_d_of w)
+      (w lsr rank_shift) (cls_code_of w) (len_of w) (secure_of w) (to_d_of w)
       (to_m_of w)
 end
 

@@ -45,9 +45,6 @@ module Packed : sig
 
   val to_m_flag : int
   val to_d_flag : int
-  val secure_flag : int
-  val cls_shift : int
-  val len_shift : int
   val len_mask : int
   val rank_shift : int
 
@@ -55,7 +52,6 @@ module Packed : sig
     rank:int -> cls_code:int -> len:int -> secure:bool -> flags:int -> int
   (** [flags] is a pre-or'd subset of [to_m_flag lor to_d_flag]. *)
 
-  val rank_of : int -> int
   val len_of : int -> int
   val cls_code_of : int -> int
   val secure_of : int -> bool

@@ -15,14 +15,10 @@ let model_name = function
   | Security_second -> "security 2nd"
   | Security_third -> "security 3rd"
 
-let lp_name = function
-  | Standard -> "LP"
-  | Lp_k k -> Printf.sprintf "LP%d" k
-
 let name t =
   match t.lp with
   | Standard -> model_name t.model
-  | Lp_k _ -> Printf.sprintf "%s/%s" (model_name t.model) (lp_name t.lp)
+  | Lp_k k -> Printf.sprintf "%s/LP%d" (model_name t.model) k
 
 type route_class = Customer | Peer | Provider
 

@@ -29,7 +29,6 @@ val make : ?lp:lp -> model -> t
 
 val all_models : model list
 val model_name : model -> string
-val lp_name : lp -> string
 val name : t -> string
 
 type route_class = Customer | Peer | Provider

@@ -60,9 +60,6 @@ module Workspace = struct
       outcome = None;
     }
 
-  let key = Domain.DLS.new_key (fun () -> create 0)
-  let local () = Domain.DLS.get key
-
   let grow t n =
     if t.cap < n then begin
       t.cap <- n;

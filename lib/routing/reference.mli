@@ -20,10 +20,6 @@ module Workspace : sig
   type t
 
   val create : int -> t
-
-  val local : unit -> t
-  (** The calling domain's lazily-created private reference workspace
-      (distinct from the packed engine's {!Engine.Workspace.local}). *)
 end
 
 val compute :

@@ -31,12 +31,6 @@ let prefix s =
       | _ -> fail "expected dotted quad")
   | _ -> fail "expected addr/len"
 
-let prefix_to_string p =
-  let b i =
-    Int32.to_int (Int32.logand (Int32.shift_right_logical p.addr i) 0xFFl)
-  in
-  Printf.sprintf "%d.%d.%d.%d/%d" (b 24) (b 16) (b 8) (b 0) p.len
-
 let covers p q =
   q.len >= p.len && Int32.logand q.addr (mask_of_len p.len) = p.addr
 
@@ -58,11 +52,6 @@ let origin_of ann =
 
 type validity = Valid | Invalid | Unknown
 
-let validity_to_string = function
-  | Valid -> "valid"
-  | Invalid -> "invalid"
-  | Unknown -> "unknown"
-
 let validate roas ann =
   let covering = List.filter (fun r -> covers r.roa_prefix ann.ann_prefix) roas in
   if covering = [] then Unknown
@@ -75,6 +64,3 @@ let validate roas ann =
     then Valid
     else Invalid
   end
-
-let filter_invalid roas anns =
-  List.filter (fun a -> validate roas a <> Invalid) anns

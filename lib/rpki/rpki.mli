@@ -14,8 +14,6 @@ val prefix : string -> prefix
 (** [prefix "10.16.0.0/12"].  Raises [Invalid_argument] on syntax errors,
     bad masks, or non-zero host bits. *)
 
-val prefix_to_string : prefix -> string
-
 val covers : prefix -> prefix -> bool
 (** [covers p q]: [q] is [p] itself or a more-specific prefix of [p]. *)
 
@@ -35,13 +33,7 @@ val origin_of : announcement -> int
 
 type validity = Valid | Invalid | Unknown
 
-val validity_to_string : validity -> string
-
 val validate : roa list -> announcement -> validity
 (** RFC 6483 origin validation: [Unknown] when no ROA covers the
     announced prefix; [Valid] when some covering ROA matches the origin
     and the length limit; [Invalid] otherwise. *)
-
-val filter_invalid : roa list -> announcement list -> announcement list
-(** Drop announcements that validate as [Invalid] — what a route-origin-
-    validating AS does.  [Unknown] and [Valid] are kept. *)

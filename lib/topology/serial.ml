@@ -11,44 +11,78 @@ let to_string g =
     (List.sort compare (Graph.edges g));
   Buffer.contents buf
 
-(* Parse into raw (provider-ish) triples; relationship "-1" means the
-   first field is the provider of the second, "0" means peering.  Extra
-   fields (CAIDA as-rel2 appends the inference source) are ignored. *)
+let fail_at line msg = failwith (Printf.sprintf "Serial: line %d: %s" line msg)
+
+let header = "# n="
+
+(* Parse into raw (provider-ish) triples, each with its 1-based line;
+   relationship "-1" means the first field is the provider of the
+   second, "0" means peering.  Extra fields (CAIDA as-rel2 appends the
+   inference source) are ignored.  Every defect [Graph.of_edges] would
+   reject — a self loop, a negative id, one pair given two different
+   relationships, an id at or above a [# n=] header's count — fails
+   here instead, on the line that commits it. *)
 let parse s =
-  let lines = String.split_on_char '\n' s in
   let n = ref (-1) in
   let triples = ref [] in
+  (* Unordered pair -> (relationship, first line), relationships
+     normalized to the smaller id: 0 peers, 1 provider, 2 customer. *)
+  let seen = Hashtbl.create 1024 in
   List.iteri
     (fun lineno line ->
-      let line = String.trim line in
-      let fail msg = failwith (Printf.sprintf "Serial: line %d: %s" (lineno + 1) msg) in
+      let line = String.trim line and lineno = lineno + 1 in
+      let fail = fail_at lineno in
+      let hl = String.length header in
       if line = "" then ()
-      else if String.length line > 0 && line.[0] = '#' then begin
-        (* Recognize the "# n=<count>" header if present. *)
-        match String.index_opt line '=' with
-        | Some i when String.length line > 3 && String.sub line 1 2 = " n" -> (
-            match int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1)) with
-            | Some v -> n := v
-            | None -> ())
-        | _ -> ()
+      else if String.starts_with ~prefix:header line then begin
+        match int_of_string_opt (String.sub line hl (String.length line - hl)) with
+        | Some v when v >= 0 -> n := v
+        | _ -> fail "expected a non-negative AS count after \"# n=\""
       end
+      else if line.[0] = '#' then ()
       else
         match String.split_on_char '|' line with
         | a :: b :: rel :: _ -> (
             match (int_of_string_opt a, int_of_string_opt b) with
-            | Some a, Some b -> (
-                match String.trim rel with
-                | "-1" -> triples := (a, b, `Provider_of) :: !triples
-                | "0" -> triples := (a, b, `Peer) :: !triples
-                | r -> fail (Printf.sprintf "unknown relationship %S" r))
+            | Some a, Some b ->
+                if a < 0 || b < 0 then fail "negative AS id";
+                if a = b then fail (Printf.sprintf "self loop at AS %d" a);
+                let rel =
+                  match String.trim rel with
+                  | "-1" -> `Provider_of
+                  | "0" -> `Peer
+                  | r -> fail (Printf.sprintf "unknown relationship %S" r)
+                in
+                let code =
+                  match rel with `Peer -> 0 | `Provider_of -> if a < b then 1 else 2
+                in
+                (match Hashtbl.find_opt seen (min a b, max a b) with
+                | None -> Hashtbl.add seen (min a b, max a b) (code, lineno)
+                | Some (c, first) ->
+                    if c <> code then
+                      fail
+                        (Printf.sprintf
+                           "conflicting relationships for pair (%d, %d) \
+                            (first given on line %d)"
+                           a b first));
+                triples := (a, b, rel, lineno) :: !triples
             | _ -> fail "non-integer AS id")
         | _ -> fail "expected <a>|<b>|<rel>")
-    lines;
-  (!n, List.rev !triples)
+    (String.split_on_char '\n' s);
+  let triples = List.rev !triples in
+  if !n >= 0 then
+    List.iter
+      (fun (a, b, _, line) ->
+        if max a b >= !n then
+          fail_at line
+            (Printf.sprintf "AS %d out of range for the header's n=%d"
+               (max a b) !n))
+      triples;
+  (!n, triples)
 
 let edges_of_triples triples =
   List.map
-    (fun (a, b, rel) ->
+    (fun (a, b, rel, _) ->
       match rel with
       | `Provider_of -> Graph.Customer_provider (b, a)
       | `Peer -> Graph.Peer_peer (a, b))
@@ -56,10 +90,10 @@ let edges_of_triples triples =
 
 let of_string s =
   let header_n, triples = parse s in
-  let max_as =
-    List.fold_left (fun acc (a, b, _) -> max acc (max a b)) (-1) triples
+  let n =
+    if header_n >= 0 then header_n
+    else List.fold_left (fun acc (a, b, _, _) -> max acc (max a b + 1)) 0 triples
   in
-  let n = if header_n >= 0 then header_n else max_as + 1 in
   Graph.of_edges ~n (edges_of_triples triples)
 
 let of_string_remapped s =
@@ -77,11 +111,11 @@ let of_string_remapped s =
   in
   let triples =
     List.map
-      (fun (a, b, rel) ->
+      (fun (a, b, rel, line) ->
         (* Explicit lets: ids are assigned in reading order. *)
         let a' = intern a in
         let b' = intern b in
-        (a', b', rel))
+        (a', b', rel, line))
       triples
   in
   let asns = Array.of_list (List.rev !order) in
@@ -101,7 +135,6 @@ let read_file path =
       let len = in_channel_length ic in
       really_input_string ic len)
 
-let load path = of_string (read_file path)
 let load_remapped path = of_string_remapped (read_file path)
 
 (* Binary snapshots.

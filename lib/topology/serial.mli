@@ -2,23 +2,28 @@
 
     One edge per line: [<provider>|<customer>|-1] for customer-to-provider
     edges and [<a>|<b>|0] for peering.  Lines starting with ['#'] are
-    comments.  The header comment records the AS count so that isolated
-    ASes survive a round trip. *)
+    comments, except the header [# n=<count>], which records the AS count
+    so that isolated ASes survive a round trip. *)
 
 val to_string : Graph.t -> string
 
 val of_string : string -> Graph.t
-(** Raises [Failure] with a line-numbered message on malformed input.
-    Lines with extra fields (e.g. CAIDA as-rel2's trailing source column)
-    are accepted; AS ids must be dense in [0, n). *)
+(** Raises [Failure] with a message starting ["Serial: line <k>:"] on
+    malformed input: a line that is not [<a>|<b>|<rel>] with integer ids
+    and [rel] in [{-1, 0}], a negative id, a self loop, a pair restated
+    with a different relationship, a [# n=] header without a
+    non-negative count, or an id at or above the header's count.  Lines
+    with extra fields (e.g. CAIDA as-rel2's trailing source column) are
+    accepted; AS ids must be dense in [0, n). *)
 
 val save : string -> Graph.t -> unit
-val load : string -> Graph.t
 
 val of_string_remapped : string -> Graph.t * int array
 (** Like {!of_string}, but accepts arbitrary (sparse) AS numbers — as in
     real CAIDA relationship files — and maps them onto dense ids.  The
-    returned array gives the original AS number of each dense id. *)
+    returned array gives the original AS number of each dense id.  Fails
+    like {!of_string}: a [# n=] header still bounds the ids, but an AS
+    that appears on no line is dropped. *)
 
 val load_remapped : string -> Graph.t * int array
 
@@ -52,8 +57,7 @@ val load_snapshot : string -> Graph.t
     disagreement. *)
 
 val snapshot_magic : string
-val snapshot_version : int
 
 val snapshot_payload_offset : int
-(** Byte offset of the payload (one page); exposed with the other two so
+(** Byte offset of the payload (one page); exposed with the magic so
     tests can corrupt specific fields and prove each error path. *)

@@ -7,6 +7,9 @@ let c2p a b = G.Customer_provider (a, b)
 let p2p a b = G.Peer_peer (a, b)
 let graph n edges = G.of_edges ~n edges
 
+(* A fair coin: the low bit of the next raw draw. *)
+let coin rng = Int64.logand (Core.Rng.bits64 rng) 1L = 1L
+
 (* Random annotated AS graph: node 0 is the top of the hierarchy; every
    other node takes at least one provider with a smaller id, so the graph
    is connected and the hierarchy acyclic by construction.  Random peer

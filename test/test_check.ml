@@ -73,7 +73,7 @@ let lint_edges_guarantee =
       let n = 2 + Core.Rng.int rng 10 in
       let mk () =
         let a = Core.Rng.int rng n and b = Core.Rng.int rng n in
-        if Core.Rng.bool rng then c2p a b else p2p a b
+        if coin rng then c2p a b else p2p a b
       in
       let edges = List.init (Core.Rng.int rng 12) (fun _ -> mk ()) in
       match errors_only (C.Lint.edges ~n edges) with
@@ -98,7 +98,7 @@ let random_instance rng =
   let dep = random_deployment rng n in
   let dst = Core.Rng.int rng n in
   let attacker =
-    if n >= 2 && Core.Rng.bool rng then
+    if n >= 2 && coin rng then
       Some ((dst + 1 + Core.Rng.int rng (n - 1)) mod n)
     else None
   in

@@ -61,7 +61,7 @@ let random_instance rng ~max_n =
       if m = dst then None else Some m
   in
   let tiebreak =
-    if Rng.bool rng then Engine.Bounds else Engine.Lowest_next_hop
+    if coin rng then Engine.Bounds else Engine.Lowest_next_hop
   in
   let claim = Rng.int rng 3 in
   (g, dep, dst, attacker, tiebreak, claim)
@@ -184,7 +184,7 @@ let test_batch_vs_engine =
       let attackers = random_attackers rng ~n ~dst in
       let policy = random_policy rng in
       let tiebreak =
-        if Rng.bool rng then Engine.Bounds else Engine.Lowest_next_hop
+        if coin rng then Engine.Bounds else Engine.Lowest_next_hop
       in
       let claim = Rng.int rng 3 in
       let b =

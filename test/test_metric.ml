@@ -7,25 +7,20 @@ let sec1 = Policy.make Policy.Security_first
 let sec2 = Policy.make Policy.Security_second
 let sec3 = Policy.make Policy.Security_third
 
+(* The figures report a change in H like with like — pessimistic world
+   against pessimistic, optimistic against optimistic — never the
+   worst-case interval difference; and [to_bounds] is 0 on no sources. *)
 let test_bounds_arith () =
-  let a = { Metric.lb = 0.4; ub = 0.6 } and b = { Metric.lb = 0.1; ub = 0.2 } in
-  let s = Metric.bounds_sub a b in
-  Alcotest.(check (float 1e-9)) "sub lb" 0.2 s.Metric.lb;
-  Alcotest.(check (float 1e-9)) "sub ub" 0.5 s.Metric.ub;
-  let t = Metric.bounds_add a b in
-  Alcotest.(check (float 1e-9)) "add lb" 0.5 t.Metric.lb;
-  let h = Metric.bounds_scale 2. b in
-  Alcotest.(check (float 1e-9)) "scale" 0.4 h.Metric.ub
-
-let test_pp_bounds () =
-  (* Collapse iff both endpoints render the same at 0.1pp precision; the
-     old epsilon test (5e-4) conflated e.g. 0.12% and 0.16%. *)
-  let pp lb ub = Metric.pp_bounds { Metric.lb; ub } in
-  Alcotest.(check string) "distinct prints stay an interval" "[0.1%, 0.2%]"
-    (pp 0.0012 0.0016);
-  Alcotest.(check string) "same print collapses" "0.1%" (pp 0.0012 0.0013);
-  Alcotest.(check string) "exact equality collapses" "50.0%" (pp 0.5 0.5);
-  Alcotest.(check string) "wide interval" "[10.0%, 90.0%]" (pp 0.1 0.9)
+  let after = { Metric.lb = 0.4; ub = 0.6 }
+  and before = { Metric.lb = 0.1; ub = 0.2 } in
+  let d = Metric.bounds_improvement after before in
+  Alcotest.(check (float 1e-9)) "improvement lb" 0.3 d.Metric.lb;
+  Alcotest.(check (float 1e-9)) "improvement ub" 0.4 d.Metric.ub;
+  let h = Metric.to_bounds { Metric.happy_lb = 1; happy_ub = 3; sources = 4 } in
+  Alcotest.(check (float 1e-9)) "to_bounds lb" 0.25 h.Metric.lb;
+  Alcotest.(check (float 1e-9)) "to_bounds ub" 0.75 h.Metric.ub;
+  let z = Metric.to_bounds { Metric.happy_lb = 0; happy_ub = 0; sources = 0 } in
+  Alcotest.(check (float 1e-9)) "no sources" 0. z.Metric.ub
 
 let test_happy_counts () =
   (* Figure 2 graph, security 3rd, S = {}: sources 1,2,3,5; under attack
@@ -237,7 +232,7 @@ let test_partition_exhaustive =
           | _ ->
               Policy.make
                 ~lp:(Policy.Lp_k (1 + Rng.int rng 2))
-                (if Rng.bool rng then Policy.Security_second
+                (if coin rng then Policy.Security_second
                  else Policy.Security_third)
         in
         let classes = Partition.compute g policy ~attacker:m ~dst in
@@ -375,7 +370,7 @@ let test_sec3_count_batch =
             if m >= dst then m + 1 else m)
       in
       let policy =
-        if Rng.bool rng then sec3
+        if coin rng then sec3
         else Policy.make ~lp:(Policy.Lp_k (1 + Rng.int rng 3)) Policy.Security_third
       in
       let batch = Partition.sec3_count_batch g policy ~dst ~attackers in
@@ -425,7 +420,7 @@ let test_full_word_identity =
       let replayed = Metric.Replay.eval rp in
       let sec3 =
         Policy.make
-          ~lp:(if Rng.bool rng then Policy.Standard else Policy.Lp_k 2)
+          ~lp:(if coin rng then Policy.Standard else Policy.Lp_k 2)
           Policy.Security_third
       in
       let counts = Partition.sec3_count_batch g sec3 ~dst ~attackers in
@@ -442,8 +437,6 @@ let () =
       ( "h metric",
         [
           Alcotest.test_case "bounds arithmetic" `Quick test_bounds_arith;
-          Alcotest.test_case "pp_bounds precision boundary" `Quick
-            test_pp_bounds;
           Alcotest.test_case "happy counts" `Quick test_happy_counts;
           Alcotest.test_case "pairs" `Quick test_pairs;
           Alcotest.test_case "pairs requires rng" `Quick test_pairs_requires_rng;

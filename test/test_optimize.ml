@@ -1,52 +1,64 @@
-(* Max-k-Security: greedy vs exhaustive, CELF vs naive greedy, argument
-   validation, and the Theorem 5.1 / Appendix I set-cover reduction. *)
+(* Max-k-Security: the specification greedy vs brute force, CELF vs the
+   specification greedy, argument validation, and the Theorem 5.1 /
+   Appendix I set-cover reduction. *)
 
 open Core
 open Test_helpers
 
 let sec3 = Policy.make Policy.Security_third
 
+(* A random instance for the greedy-vs-brute-force properties: a small
+   graph, one to three (attacker, destination) pairs, and every AS but
+   the first pair's attacker as a candidate. *)
+let small_instance rng =
+  let g = random_graph rng ~max_n:12 in
+  let n = Graph.n g in
+  let pairs =
+    Array.init (1 + Rng.int rng 3) (fun _ ->
+        let dst = Rng.int rng n in
+        { Metric.attacker = (dst + 1 + Rng.int rng (n - 1)) mod n; dst })
+  in
+  let m = pairs.(0).Metric.attacker in
+  let candidates =
+    Array.of_list (List.filter (fun v -> v <> m) (List.init n Fun.id))
+  in
+  (g, pairs, candidates)
+
+(* Ground truth: the best lower bound over every k-subset. *)
+let exhaustive_lb g pairs ~k ~candidates =
+  let best = ref neg_infinity in
+  Optimize.iter_subsets candidates k (fun subset ->
+      let dep =
+        Deployment.make ~n:(Graph.n g) ~full:(Array.of_list subset) ()
+      in
+      best := Float.max !best (Metric.h_metric g sec3 dep pairs).Metric.lb);
+  !best
+
 let test_greedy_le_exhaustive =
   qtest "greedy never beats exhaustive" ~count:40 (fun seed ->
       let rng = Rng.create seed in
-      let g = random_graph rng ~max_n:12 in
-      let n = Graph.n g in
-      let dst = Rng.int rng n and m = Rng.int rng n in
-      if m = dst then true
-      else begin
-        let candidates =
-          Array.of_list
-            (List.filter (fun v -> v <> m) (List.init n (fun i -> i)))
-        in
-        let k = 1 + Rng.int rng 2 in
-        let greedy = Optimize.greedy g sec3 ~attacker:m ~dst ~k ~candidates in
-        let best = Optimize.exhaustive g sec3 ~attacker:m ~dst ~k ~candidates in
-        greedy.Optimize.happy <= best.Optimize.happy
-      end)
+      let g, pairs, candidates = small_instance rng in
+      let k = 1 + Rng.int rng 2 in
+      let r = Optimize.Max_k.greedy g sec3 ~pairs ~k ~candidates in
+      r.Optimize.Max_k.score.Metric.lb <= exhaustive_lb g pairs ~k ~candidates)
 
-(* At k = 1 greedy scans every candidate, so it IS exhaustive. *)
+(* At k = 1 the greedy scans every candidate, so it IS exhaustive: its
+   one gain is the best single-AS gain. *)
 let test_greedy_eq_exhaustive_k1 =
   qtest "greedy equals exhaustive at k = 1" ~count:40 (fun seed ->
       let rng = Rng.create seed in
-      let g = random_graph rng ~max_n:12 in
-      let n = Graph.n g in
-      let dst = Rng.int rng n and m = Rng.int rng n in
-      if m = dst then true
-      else begin
-        let candidates =
-          Array.of_list
-            (List.filter (fun v -> v <> m) (List.init n (fun i -> i)))
-        in
-        let greedy =
-          Optimize.greedy g sec3 ~attacker:m ~dst ~k:1 ~candidates
-        in
-        let best =
-          Optimize.exhaustive g sec3 ~attacker:m ~dst ~k:1 ~candidates
-        in
-        greedy.Optimize.happy = best.Optimize.happy
-        && greedy.Optimize.achieved = 1
-        && best.Optimize.achieved = 1
-      end)
+      let g, pairs, candidates = small_instance rng in
+      let r = Optimize.Max_k.greedy g sec3 ~pairs ~k:1 ~candidates in
+      let base = r.Optimize.Max_k.baseline.Metric.lb in
+      let best_gain =
+        Array.fold_left
+          (fun acc c ->
+            let dep = Deployment.make ~n:(Graph.n g) ~full:[| c |] () in
+            Float.max acc ((Metric.h_metric g sec3 dep pairs).Metric.lb -. base))
+          neg_infinity candidates
+      in
+      r.Optimize.Max_k.achieved = 1
+      && r.Optimize.Max_k.steps.(0).Optimize.Max_k.gain = best_gain)
 
 let test_securing_helps =
   qtest "exhaustive never hurts (sec3 monotone)" ~count:40 (fun seed ->
@@ -55,14 +67,10 @@ let test_securing_helps =
       let n = Graph.n g in
       let dst = Rng.int rng n and m = Rng.int rng n in
       if m = dst then true
-      else begin
-        let base =
-          Optimize.happy_with g sec3 (Deployment.empty n) ~attacker:m ~dst
-        in
-        let candidates = [| dst |] in
-        let best = Optimize.exhaustive g sec3 ~attacker:m ~dst ~k:1 ~candidates in
-        best.Optimize.happy >= base
-      end)
+      else
+        let happy dep = Optimize.happy_with g sec3 dep ~attacker:m ~dst in
+        happy (Deployment.make ~n ~full:[| dst |] ())
+        >= happy (Deployment.empty n))
 
 (* The upper-bound objective can only see more happy sources than the
    lower-bound one (ties resolve toward the attacker in the latter). *)
@@ -92,15 +100,6 @@ let test_validation () =
     (raises_invalid (fun () -> Optimize.iter_subsets candidates (-1) ignore));
   Alcotest.(check bool) "iter_subsets k > n" true
     (raises_invalid (fun () -> Optimize.iter_subsets candidates 3 ignore));
-  Alcotest.(check bool) "exhaustive k > n" true
-    (raises_invalid (fun () ->
-         Optimize.exhaustive g sec3 ~attacker:3 ~dst:0 ~k:3 ~candidates));
-  Alcotest.(check bool) "exhaustive k < 0" true
-    (raises_invalid (fun () ->
-         Optimize.exhaustive g sec3 ~attacker:3 ~dst:0 ~k:(-1) ~candidates));
-  Alcotest.(check bool) "greedy k < 0" true
-    (raises_invalid (fun () ->
-         Optimize.greedy g sec3 ~attacker:3 ~dst:0 ~k:(-2) ~candidates));
   let pairs = [| { Metric.attacker = 3; dst = 0 } |] in
   Alcotest.(check bool) "Max_k.greedy k < 0" true
     (raises_invalid (fun () ->
@@ -119,12 +118,11 @@ let test_validation () =
 let test_early_stop () =
   let g = graph 4 [ c2p 1 0; c2p 2 0; c2p 3 1 ] in
   let candidates = [| 1; 2 |] in
-  let r = Optimize.greedy g sec3 ~attacker:3 ~dst:0 ~k:5 ~candidates in
-  Alcotest.(check int) "greedy requested" 5 r.Optimize.requested;
-  Alcotest.(check int) "greedy achieved" 2 r.Optimize.achieved;
-  Alcotest.(check int) "greedy chosen size" 2 (Array.length r.Optimize.chosen);
   let pairs = [| { Metric.attacker = 3; dst = 0 } |] in
   let rn = Optimize.Max_k.greedy g sec3 ~pairs ~k:5 ~candidates in
+  Alcotest.(check int) "Max_k.greedy requested" 5 rn.Optimize.Max_k.requested;
+  Alcotest.(check int) "Max_k.greedy chosen size" 2
+    (Array.length rn.Optimize.Max_k.chosen);
   Alcotest.(check int) "Max_k.greedy achieved" 2 rn.Optimize.Max_k.achieved;
   Alcotest.(check int) "Max_k.greedy steps" 2
     (Array.length rn.Optimize.Max_k.steps);
@@ -218,7 +216,7 @@ let test_reduction_equivalence =
       let w = 2 + Rng.int rng 3 in
       let sets =
         Array.init w (fun _ ->
-            List.filter (fun _ -> Rng.bool rng) (List.init universe Fun.id))
+            List.filter (fun _ -> coin rng) (List.init universe Fun.id))
       in
       (* Ensure every element appears somewhere, else no cover can exist
          and the equivalence is trivially about unreachability. *)

@@ -21,11 +21,6 @@ let test_map_single () =
   Alcotest.(check (array int)) "singleton" [| 42 |]
     (Parallel.map ~domains:4 (fun x -> x + 41) [| 1 |])
 
-let test_map_reduce () =
-  let items = Array.init 100 (fun i -> i + 1) in
-  Alcotest.(check int) "sum 1..100" 5050
-    (Parallel.map_reduce ~domains:3 ~map:Fun.id ~combine:( + ) 0 items)
-
 let test_parallel_metric_agrees () =
   (* h_metric with domains must equal the sequential result exactly. *)
   let r = Topogen.generate ~params:(Topogen.default_params ~n:1200) (Rng.create 4) in
@@ -216,7 +211,6 @@ let () =
             test_map_matches_sequential;
           Alcotest.test_case "empty" `Quick test_map_empty;
           Alcotest.test_case "single" `Quick test_map_single;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "default domains" `Quick test_default_domains;
         ] );
       ( "pool",

@@ -85,7 +85,7 @@ let test_rank_isomorphism =
           | 1 -> Policy.Peer
           | _ -> Policy.Provider
         in
-        (cls, 1 + Rng.int rng max_len, Rng.bool rng)
+        (cls, 1 + Rng.int rng max_len, Test_helpers.coin rng)
       in
       List.for_all
         (fun p ->
@@ -115,7 +115,7 @@ let test_rank_monotone_extension =
             | _ -> Policy.Provider
           in
           let len = 1 + Rng.int rng (max_len - 1) in
-          let secure = Rng.bool rng in
+          let secure = Test_helpers.coin rng in
           let parent = Policy.rank p ~max_len cls ~len ~secure in
           (* Extensions permitted by Ex: to a provider as a customer route
              (only from customer routes), to a peer (only from customer

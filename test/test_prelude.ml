@@ -74,9 +74,10 @@ let test_bitset_basic () =
   Alcotest.(check int) "cardinal" 4 (Bitset.cardinal s);
   Alcotest.(check bool) "mem 63" true (Bitset.mem s 63);
   Alcotest.(check bool) "not mem 62" false (Bitset.mem s 62);
-  Bitset.remove s 63;
-  Alcotest.(check int) "cardinal after remove" 3 (Bitset.cardinal s);
-  Alcotest.(check (list int)) "to_list sorted" [ 0; 64; 99 ] (Bitset.to_list s);
+  Bitset.add s 63;
+  Alcotest.(check int) "re-adding is a no-op" 4 (Bitset.cardinal s);
+  Alcotest.(check (list int)) "fold in ascending order" [ 0; 63; 64; 99 ]
+    (List.rev (Bitset.fold List.cons s []));
   Bitset.clear s;
   Alcotest.(check int) "cleared" 0 (Bitset.cardinal s)
 
@@ -94,23 +95,26 @@ let test_bitset_vs_reference =
       let reference = Hashtbl.create 16 in
       for _ = 1 to 300 do
         let v = Rng.int rng n in
-        if Rng.bool rng then begin
+        if Rng.int rng 50 = 0 then begin
+          Bitset.clear s;
+          Hashtbl.reset reference
+        end
+        else begin
           Bitset.add s v;
           Hashtbl.replace reference v ()
         end
-        else begin
-          Bitset.remove s v;
-          Hashtbl.remove reference v
-        end
       done;
+      let members = Bitset.fold List.cons s [] in
       Bitset.cardinal s = Hashtbl.length reference
-      && List.for_all (fun v -> Hashtbl.mem reference v) (Bitset.to_list s))
+      && List.length members = Hashtbl.length reference
+      && List.for_all (fun v -> Hashtbl.mem reference v) members
+      && List.for_all (fun v -> Bitset.mem s v = Hashtbl.mem reference v)
+           (List.init n Fun.id))
 
-(* Word-level API against a naive bool-array model: random add/remove
-   churn plus in-place union/diff against a second set, then every
-   accessor cross-checked — [get_word]/[fold_words] bit-by-bit against
-   the model, [iter_set] for exact member order, cardinal for the
-   popcount bookkeeping of the in-place operations. *)
+(* Word-level operations against a naive bool-array model: random adds
+   to two sets, then (maybe) the word-at-a-time [union_into], then
+   [iter_set] checked for exact member order and [cardinal] for the
+   popcount bookkeeping of the in-place union. *)
 let test_bitset_words_vs_model =
   Test_helpers.qtest "bitset word API agrees with bool-array model" ~count:300
     (fun seed ->
@@ -120,106 +124,56 @@ let test_bitset_words_vs_model =
       let m = Array.make n false and m2 = Array.make n false in
       for _ = 1 to 200 do
         let v = Rng.int rng n in
-        match Rng.int rng 4 with
-        | 0 ->
-            Bitset.add s v;
-            m.(v) <- true
-        | 1 ->
-            Bitset.remove s v;
-            m.(v) <- false
-        | 2 ->
-            Bitset.add s2 v;
-            m2.(v) <- true
-        | _ ->
-            Bitset.remove s2 v;
-            m2.(v) <- false
+        if Rng.int rng 2 = 0 then begin
+          Bitset.add s v;
+          m.(v) <- true
+        end
+        else begin
+          Bitset.add s2 v;
+          m2.(v) <- true
+        end
       done;
-      (match Rng.int rng 3 with
-      | 0 ->
-          Bitset.union_into ~into:s s2;
-          Array.iteri (fun i b -> if b then m.(i) <- true) m2
-      | 1 ->
-          Bitset.diff_into ~into:s s2;
-          Array.iteri (fun i b -> if b then m.(i) <- false) m2
-      | _ -> ());
+      if Rng.int rng 2 = 0 then begin
+        Bitset.union_into ~into:s s2;
+        Array.iteri (fun i b -> if b then m.(i) <- true) m2
+      end;
       let model_card = Array.fold_left (fun a b -> if b then a + 1 else a) 0 m in
-      let words_ok =
-        Bitset.words s = (n + Bitset.word_bits - 1) / Bitset.word_bits
-      in
-      let get_ok = ref true in
-      for j = 0 to Bitset.words s - 1 do
-        let w = Bitset.get_word s j in
-        for b = 0 to Bitset.word_bits - 1 do
-          let i = (j * Bitset.word_bits) + b in
-          let want = i < n && m.(i) in
-          if w land (1 lsl b) <> 0 <> want then get_ok := false
-        done
-      done;
-      let fold_card =
-        Bitset.fold_words (fun _ w acc -> acc + Bitset.popcount_word w) s 0
-      in
       let members = ref [] in
       Bitset.iter_set (fun i -> members := i :: !members) s;
       let model_members = ref [] in
       for i = n - 1 downto 0 do
         if m.(i) then model_members := i :: !model_members
       done;
-      words_ok && !get_ok
-      && Bitset.cardinal s = model_card
-      && fold_card = model_card
-      && List.rev !members = !model_members)
+      Bitset.cardinal s = model_card && List.rev !members = !model_members)
 
 (* Raw-word helpers on adversarial patterns, the sign bit (index 62)
-   included. *)
+   included; iteration across the sign bit of a backing word. *)
 let test_bitset_raw_words () =
   Alcotest.(check int) "word_bits" 63 Bitset.word_bits;
   Alcotest.(check int) "popcount 0" 0 (Bitset.popcount_word 0);
   Alcotest.(check int) "popcount -1" 63 (Bitset.popcount_word (-1));
   Alcotest.(check int) "popcount sign bit" 1
     (Bitset.popcount_word (1 lsl 62));
-  let bits w =
-    let acc = ref [] in
-    Bitset.iter_word (fun b -> acc := b :: !acc) w;
-    List.rev !acc
-  in
-  Alcotest.(check (list int)) "iter_word mixed" [ 0; 5; 62 ]
-    (bits (1 lor (1 lsl 5) lor (1 lsl 62)));
-  Alcotest.(check (list int)) "iter_word empty" [] (bits 0)
-
-(* [iter_word] against a naive scan of bits 0..62, on random full-width
-   words (sign bit included) and on the extreme patterns. *)
-let test_iter_word_vs_scan =
-  let naive w =
-    List.filter (fun b -> w land (1 lsl b) <> 0) (List.init Bitset.word_bits Fun.id)
-  in
-  let bits w =
-    let acc = ref [] in
-    Bitset.iter_word (fun b -> acc := b :: !acc) w;
-    List.rev !acc
-  in
-  Test_helpers.qtest "iter_word = naive bit scan" ~count:500 (fun seed ->
-      let rng = Rng.create seed in
-      let random = Int64.to_int (Rng.bits64 rng) in
-      (* Sparse words too: the AND of three draws keeps ~1/8 of the bits. *)
-      let sparse =
-        random land Int64.to_int (Rng.bits64 rng)
-        land Int64.to_int (Rng.bits64 rng)
-      in
-      List.for_all
-        (fun w -> bits w = naive w)
-        [ random; sparse; 0; -1; min_int; max_int; 1 ])
+  let s = Bitset.create 130 in
+  List.iter (Bitset.add s) [ 0; 5; 62; 63; 125; 126 ];
+  let members = ref [] in
+  Bitset.iter_set (fun i -> members := i :: !members) s;
+  Alcotest.(check (list int)) "iter_set across word edges"
+    [ 0; 5; 62; 63; 125; 126 ] (List.rev !members)
 
 (* The bit-sliced counter against per-lane ints: lanes 0 and 62 (the
    sign bit) are driven through every power-of-two boundary up to
-   [max_count], each add checked on every lane, then overflow, clear and
-   the range checks. *)
+   [max_count], each add checked on every lane, then overflow, a full
+   mask on a fresh counter and the range checks. *)
 let test_lane_counter () =
   let max_count = 1 lsl 10 in
   let c = Lane_counter.create ~max_count in
   let model = Array.make Bitset.word_bits 0 in
   let add mask =
     Lane_counter.add c mask;
-    Bitset.iter_word (fun l -> model.(l) <- model.(l) + 1) mask
+    for l = 0 to Bitset.word_bits - 1 do
+      if mask land (1 lsl l) <> 0 then model.(l) <- model.(l) + 1
+    done
   in
   let agree () = Lane_counter.to_array c ~lanes:Bitset.word_bits = model in
   let ok = ref true in
@@ -243,9 +197,7 @@ let test_lane_counter () =
       for _ = 1 to max_count do
         Lane_counter.add c min_int
       done);
-  Lane_counter.clear c;
-  Alcotest.(check (array int)) "clear" (Array.make 63 0)
-    (Lane_counter.to_array c ~lanes:63);
+  let c = Lane_counter.create ~max_count in
   Lane_counter.add c (-1);
   Alcotest.(check (array int)) "full mask" (Array.make 63 1)
     (Lane_counter.to_array c ~lanes:63);
@@ -265,15 +217,9 @@ let test_lane_counter () =
 
 let test_bitset_word_bounds () =
   let s = Bitset.create 10 and tiny = Bitset.create 9 in
-  Alcotest.check_raises "get_word out of bounds"
-    (Invalid_argument "Bitset.get_word: word index out of bounds") (fun () ->
-      ignore (Bitset.get_word s 1));
   Alcotest.check_raises "union universe mismatch"
     (Invalid_argument "Bitset.union_into: universe sizes differ") (fun () ->
-      Bitset.union_into ~into:s tiny);
-  Alcotest.check_raises "diff universe mismatch"
-    (Invalid_argument "Bitset.diff_into: universe sizes differ") (fun () ->
-      Bitset.diff_into ~into:s tiny)
+      Bitset.union_into ~into:s tiny)
 
 let test_stats () =
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean [| 1.; 2.; 3.; 4. |]);
@@ -284,33 +230,17 @@ let test_stats () =
   Alcotest.(check (float 1e-9)) "q1" 3. (Stats.quantile [| 3.; 1.; 2. |] 1.);
   Alcotest.(check (float 1e-9)) "fraction" 0.25 (Stats.fraction 1 4);
   Alcotest.(check (float 1e-9)) "fraction by zero" 0. (Stats.fraction 1 0);
-  Alcotest.(check string) "percent" "12.5%" (Stats.percent 0.125);
-  let h = Stats.histogram ~bins:4 ~lo:0. ~hi:4. [| 0.5; 1.5; 1.6; 3.9; 9. |] in
-  Alcotest.(check (array int)) "histogram" [| 1; 2; 0; 2 |] h
-
-let test_stats_stddev () =
-  Alcotest.(check (float 1e-9)) "stddev" 2.
-    (Stats.stddev [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |]);
-  Alcotest.(check (float 1e-9)) "stddev single" 0. (Stats.stddev [| 5. |])
+  Alcotest.(check string) "percent" "12.5%" (Stats.percent 0.125)
 
 let test_table () =
   let t = Table.create ~header:[ "a"; "bb" ] in
   Table.add_row t [ "x"; "y" ];
   Table.add_row t [ "longer" ];
-  let rendered = Table.to_string t in
-  Alcotest.(check bool) "contains header" true
-    (String.length rendered > 0 && String.sub rendered 0 1 = "a");
+  Alcotest.(check string) "aligned, short row padded"
+    "a       bb\n----------\nx       y \nlonger    \n" (Table.to_string t);
   Alcotest.check_raises "too many cells"
     (Invalid_argument "Table.add_row: more cells than header columns")
-    (fun () -> Table.add_row t [ "1"; "2"; "3" ]);
-  let csv = Table.csv t in
-  Alcotest.(check string) "csv" "a,bb\nx,y\nlonger,\n" csv
-
-let test_table_csv_quoting () =
-  let t = Table.create ~header:[ "v" ] in
-  Table.add_row t [ "a,b" ];
-  Table.add_row t [ "q\"q" ];
-  Alcotest.(check string) "quoted" "v\n\"a,b\"\n\"q\"\"q\"\n" (Table.csv t)
+    (fun () -> Table.add_row t [ "1"; "2"; "3" ])
 
 let () =
   Alcotest.run "prelude"
@@ -330,19 +260,12 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
           Alcotest.test_case "raw words" `Quick test_bitset_raw_words;
           Alcotest.test_case "word bounds" `Quick test_bitset_word_bounds;
-          test_iter_word_vs_scan;
           Alcotest.test_case "lane counter" `Quick test_lane_counter;
           test_bitset_vs_reference;
           test_bitset_words_vs_model;
         ] );
       ( "stats",
-        [
-          Alcotest.test_case "basics" `Quick test_stats;
-          Alcotest.test_case "stddev" `Quick test_stats_stddev;
-        ] );
+        [ Alcotest.test_case "basics" `Quick test_stats ] );
       ( "table",
-        [
-          Alcotest.test_case "render and csv" `Quick test_table;
-          Alcotest.test_case "csv quoting" `Quick test_table_csv_quoting;
-        ] );
+        [ Alcotest.test_case "render" `Quick test_table ] );
     ]

@@ -16,12 +16,6 @@ let test_seeds_differ () =
   done;
   Alcotest.(check int) "different streams" 0 !same
 
-let test_split_independent () =
-  let a = Rng.create 7 in
-  let b = Rng.split a in
-  let x = Rng.bits64 a and y = Rng.bits64 b in
-  Alcotest.(check bool) "split diverges" true (x <> y)
-
 let test_copy () =
   let a = Rng.create 9 in
   let (_ : int64) = Rng.bits64 a in
@@ -77,17 +71,6 @@ let test_geometric_mean () =
   (* Mean of failures-before-success is (1-p)/p = 1. *)
   Alcotest.(check bool) "mean close to 1" true (abs_float (mean -. 1.) < 0.05)
 
-let test_pareto_heavy_tail () =
-  let rng = Rng.create 13 in
-  let big = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    if Rng.pareto rng ~alpha:1.5 ~xmin:1.0 > 10. then incr big
-  done;
-  (* P(X > 10) = 10^-1.5 ~= 3.16%. *)
-  let frac = float_of_int !big /. float_of_int n in
-  Alcotest.(check bool) "tail mass" true (frac > 0.02 && frac < 0.05)
-
 let test_weighted_index () =
   let rng = Rng.create 17 in
   let counts = Array.make 3 0 in
@@ -131,7 +114,6 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
-          Alcotest.test_case "split" `Quick test_split_independent;
           Alcotest.test_case "copy" `Quick test_copy;
         ] );
       ( "distributions",
@@ -141,7 +123,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_float_bounds;
           Alcotest.test_case "uniformity" `Slow test_int_roughly_uniform;
           Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
-          Alcotest.test_case "pareto tail" `Slow test_pareto_heavy_tail;
           Alcotest.test_case "weighted index" `Slow test_weighted_index;
           test_shuffle_permutation;
           test_sample_without_replacement;

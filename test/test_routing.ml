@@ -189,7 +189,7 @@ let test_engine_vs_staged =
       let dep = random_deployment rng n in
       let dst = Rng.int rng n in
       let attacker =
-        if Rng.bool rng then
+        if coin rng then
           let m = Rng.int rng n in
           if m = dst then None else Some m
         else None

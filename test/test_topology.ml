@@ -68,7 +68,80 @@ let test_serial_errors () =
     (Failure "Serial: line 1: unknown relationship \"7\"") (fun () ->
       ignore (Serial.of_string "1|2|7"));
   Alcotest.check_raises "bad id" (Failure "Serial: line 1: non-integer AS id")
-    (fun () -> ignore (Serial.of_string "a|2|0"))
+    (fun () -> ignore (Serial.of_string "a|2|0"));
+  (* Defects Graph.of_edges would reject must fail on their own line,
+     through both parsers. *)
+  let fails what text msg =
+    Alcotest.check_raises what (Failure msg) (fun () ->
+        ignore (Serial.of_string text));
+    Alcotest.check_raises (what ^ " (remapped)") (Failure msg) (fun () ->
+        ignore (Serial.of_string_remapped text))
+  in
+  fails "self loop" "0|2|-1\n1|1|0" "Serial: line 2: self loop at AS 1";
+  fails "conflicting relationships" "0|1|-1\n# c\n1|0|0"
+    "Serial: line 3: conflicting relationships for pair (1, 0) (first \
+     given on line 1)";
+  fails "both directions of one customer edge" "0|1|-1\n1|0|-1"
+    "Serial: line 2: conflicting relationships for pair (1, 0) (first \
+     given on line 1)";
+  fails "negative id" "0|1|0\n-1|2|0" "Serial: line 2: negative AS id";
+  fails "id at the header's n" "# n=2\n0|1|0\n0|2|-1"
+    "Serial: line 3: AS 2 out of range for the header's n=2";
+  fails "header without a count" "# n=x\n0|1|0"
+    "Serial: line 1: expected a non-negative AS count after \"# n=\"";
+  fails "negative header" "# n=-1"
+    "Serial: line 1: expected a non-negative AS count after \"# n=\"";
+  (* A restated edge is not a conflict, and other comments stay comments. *)
+  let g = Serial.of_string "# n=3\n# name=x\n0|1|-1\n0|1|-1\n" in
+  Alcotest.(check int) "duplicate edge kept once" 1
+    (Graph.num_customer_provider_edges g)
+
+(* Random text over the alphabet 0-9 | - # n = a, space and newline,
+   built from edge, header and comment lines (so some inputs parse and
+   many hit a specific defect) and then overwritten at a few random
+   bytes.  The overwrites draw no digit, so every number stays one digit
+   long and no input names more than ten ASes. *)
+let fuzz_text rng =
+  let noise = "|-#n=a \n" in
+  let id () =
+    if Rng.int rng 8 = 0 then "-" ^ string_of_int (1 + Rng.int rng 3)
+    else string_of_int (Rng.int rng 6)
+  in
+  let line () =
+    match Rng.int rng 6 with
+    | 0 -> "# n=" ^ [| ""; "a"; "-1"; string_of_int (Rng.int rng 8) |].(Rng.int rng 4)
+    | 1 -> "# a"
+    | 2 -> ""
+    | _ ->
+        String.concat "|"
+          [ id (); id (); [| "-1"; "0"; "-1"; "0"; "1"; "a" |].(Rng.int rng 6) ]
+  in
+  let b =
+    Bytes.of_string
+      (String.concat "\n" (List.init (1 + Rng.int rng 6) (fun _ -> line ())))
+  in
+  for _ = 1 to if Bytes.length b = 0 then 0 else Rng.int rng 3 do
+    Bytes.set b
+      (Rng.int rng (Bytes.length b))
+      noise.[Rng.int rng (String.length noise)]
+  done;
+  Bytes.to_string b
+
+let test_serial_fuzz =
+  qtest "parsers fail only with a line-numbered Failure" ~count:2000
+    (fun seed ->
+      let text = fuzz_text (Rng.create seed) in
+      let loud name parse =
+        match parse text with
+        | _ -> true
+        | exception Failure msg when String.starts_with ~prefix:"Serial: line " msg ->
+            true
+        | exception e ->
+            Printf.eprintf "%s %S: %s\n%!" name text (Printexc.to_string e);
+            false
+      in
+      loud "of_string" Serial.of_string
+      && loud "of_string_remapped" Serial.of_string_remapped)
 
 let test_serial_remapped () =
   (* Real-world style: sparse ASNs and a trailing source column. *)
@@ -97,7 +170,10 @@ let test_serial_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Serial.save path g;
-      let g2 = Serial.load path in
+      (* The CLI's loader: a file [save] wrote already has dense ids in
+         reading order, so remapping is the identity. *)
+      let g2, asns = Serial.load_remapped path in
+      Alcotest.(check (array int)) "identity remap" [| 0; 1; 2 |] asns;
       Alcotest.(check int) "n" 3 (Graph.n g2);
       Alcotest.(check bool) "edges equal" true
         (List.sort compare (Graph.edges g) = List.sort compare (Graph.edges g2)))
@@ -423,7 +499,7 @@ let test_ixp_augment =
   qtest "IXP augmentation adds only new peer edges" ~count:50 (fun seed ->
       let rng = Rng.create seed in
       let g = random_graph rng ~max_n:40 in
-      let g2, added = Ixp.augment (Rng.split rng) g in
+      let g2, added = Ixp.augment rng g in
       Graph.n g2 = Graph.n g
       && Graph.num_customer_provider_edges g2
          = Graph.num_customer_provider_edges g
@@ -449,6 +525,7 @@ let () =
           test_serial_roundtrip;
           Alcotest.test_case "format" `Quick test_serial_format;
           Alcotest.test_case "errors" `Quick test_serial_errors;
+          test_serial_fuzz;
           Alcotest.test_case "file round trip" `Quick test_serial_file_roundtrip;
           Alcotest.test_case "sparse ASN remapping" `Quick test_serial_remapped;
           Alcotest.test_case "extra fields tolerated" `Quick

@@ -88,6 +88,29 @@ grep -q "SBGP_CHECK" /tmp/sbgp_check_env_out || {
   echo "sbgp run: the error does not name SBGP_CHECK"; exit 1; }
 rm -f /tmp/sbgp_check_env_out
 
+echo "== sbgp check takes one pass (smoke)"
+# The pass flags are alternatives: naming two must be a usage error, not
+# a run of whichever the CLI happens to test first.
+if dune exec bin/sbgp.exe -- check --kernel --alloc -n 150 \
+    > /tmp/sbgp_check_pass_out 2>&1; then
+  echo "sbgp check: --kernel --alloc was not rejected"; exit 1
+fi
+rm -f /tmp/sbgp_check_pass_out
+
+echo "== malformed --graph file (smoke)"
+# A parse error is a one-line usage error (exit 2) naming the line, not
+# an uncaught exception.
+bad_graph=$(mktemp)
+printf '0|2|-1\n1|1|0\n' > "$bad_graph"
+set +e
+dune exec bin/sbgp.exe -- info --graph "$bad_graph" > /tmp/sbgp_bad_graph_out 2>&1
+status=$?
+set -e
+grep -q "sbgp: Serial: line 2: self loop" /tmp/sbgp_bad_graph_out && [ "$status" -eq 2 ] || {
+  echo "sbgp info: malformed graph did not fail with exit 2 and a line number"
+  cat /tmp/sbgp_bad_graph_out; exit 1; }
+rm -f "$bad_graph" /tmp/sbgp_bad_graph_out
+
 echo "== sbgp check --alloc (smoke)"
 # The runtime allocation gate at toy scale: minor words per pair of the
 # scalar/batched/reference kernels against the recorded budgets,
