@@ -180,42 +180,19 @@ let table_diags g =
             (G.num_peer_edges g) (!p2p / 2)));
   List.rev !diags
 
-(* ASes left with positive in-degree by Kahn's algorithm sit on (or
-   above) a customer-to-provider cycle. *)
+(* ASes that Kahn's algorithm never retires sit on (or above) a
+   customer-to-provider cycle. *)
 let cycle_diags g =
-  let n = G.n g in
-  let indeg = Array.make n 0 in
-  for v = 0 to n - 1 do
-    indeg.(v) <- Array.length (G.customers g v)
-  done;
-  let queue = Queue.create () in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.add v queue
-  done;
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr seen;
-    Array.iter
-      (fun p ->
-        indeg.(p) <- indeg.(p) - 1;
-        if indeg.(p) = 0 then Queue.add p queue)
-      (G.providers g v)
-  done;
-  if !seen = n then []
-  else begin
-    let offenders = ref [] in
-    for v = n - 1 downto 0 do
-      if indeg.(v) > 0 then offenders := v :: !offenders
-    done;
-    [
-      D.error ~rule:"topo/cp-cycle"
-        ~subjects:(cap !offenders)
-        (Printf.sprintf
-           "customer-to-provider hierarchy has a cycle involving %d ASes"
-           (List.length !offenders));
-    ]
-  end
+  match G.hierarchy g with
+  | Ok _ -> []
+  | Error cycle ->
+      [
+        D.error ~rule:"topo/cp-cycle"
+          ~subjects:(cap (Array.to_list cycle))
+          (Printf.sprintf
+             "customer-to-provider hierarchy has a cycle involving %d ASes"
+             (Array.length cycle));
+      ]
 
 let tier_diags g tiers =
   let n = G.n g in

@@ -1,14 +1,19 @@
 type mode = Off | Simplex | Full
-type t = { modes : mode array }
+(* [fp] memoizes {!fingerprint} ([-1] until first asked): the mode
+   vector never changes after construction, and the metric cache asks
+   for the fingerprint of the same deployment on every lookup batch.
+   Domains racing on a cold [fp] write the same int. *)
+type t = { modes : mode array; mutable fp : int }
 
-let empty n = { modes = Array.make n Off }
-let of_modes modes = { modes = Array.copy modes }
+let of_array modes = { modes; fp = -1 }
+let empty n = of_array (Array.make n Off)
+let of_modes modes = of_array (Array.copy modes)
 
 let make ~n ~full ?(simplex = [||]) () =
   let modes = Array.make n Off in
   Array.iter (fun v -> modes.(v) <- Simplex) simplex;
   Array.iter (fun v -> modes.(v) <- Full) full;
-  { modes }
+  of_array modes
 
 let n t = Array.length t.modes
 let mode t v = t.modes.(v)
@@ -30,11 +35,10 @@ let mode_rank = function Off -> 0 | Simplex -> 1 | Full -> 2
 let union a b =
   if Array.length a.modes <> Array.length b.modes then
     invalid_arg "Deployment.union: size mismatch";
-  { modes =
-      Array.init (Array.length a.modes) (fun v ->
-          if mode_rank a.modes.(v) >= mode_rank b.modes.(v) then a.modes.(v)
-          else b.modes.(v));
-  }
+  of_array
+    (Array.init (Array.length a.modes) (fun v ->
+         if mode_rank a.modes.(v) >= mode_rank b.modes.(v) then a.modes.(v)
+         else b.modes.(v)))
 
 let subset s t =
   Array.length s.modes = Array.length t.modes
@@ -58,12 +62,14 @@ let equal a b =
 
 (* FNV-1a over the mode ranks: stable across runs, no boxing. *)
 let fingerprint t =
-  let h = ref 0x811c9dc5 in
-  Array.iter
-    (fun m ->
-      h := (!h lxor mode_rank m) * 0x01000193 land max_int)
-    t.modes;
-  !h
+  if t.fp < 0 then begin
+    let h = ref 0x811c9dc5 in
+    Array.iter
+      (fun m -> h := (!h lxor mode_rank m) * 0x01000193 land max_int)
+      t.modes;
+    t.fp <- !h
+  end;
+  t.fp
 
 let isps_and_stubs ?(stub_mode = Full) g tiers ~isps =
   let modes = Array.make (Topology.Graph.n g) Off in
@@ -79,7 +85,7 @@ let isps_and_stubs ?(stub_mode = Full) g tiers ~isps =
     (fun v -> if is_stub v then modes.(v) <- stub_mode)
     (Topology.Tiers.stubs_of g isps);
   Array.iter (fun v -> modes.(v) <- Full) isps;
-  { modes }
+  of_array modes
 
 (* The [n] largest members of a tier by customer degree (ties by id). *)
 let largest g tiers tier count =
@@ -112,7 +118,7 @@ let non_stubs g tiers =
   let isps = Topology.Tiers.non_stubs tiers in
   let modes = Array.make (Topology.Graph.n g) Off in
   Array.iter (fun v -> modes.(v) <- Full) isps;
-  { modes }
+  of_array modes
 
 let tier1_and_stubs ?(with_cps = false) g tiers =
   let t1 = Topology.Tiers.members tiers Topology.Tiers.T1 in

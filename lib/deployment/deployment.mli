@@ -46,7 +46,8 @@ val equal : t -> t -> bool
 val fingerprint : t -> int
 (** Non-negative content hash of the mode vector, stable across runs.
     [equal a b] implies [fingerprint a = fingerprint b]; the metric-layer
-    cache uses it to intern deployment versions cheaply. *)
+    cache uses it to intern deployment versions cheaply.  O(n) on the
+    first call per deployment, then memoized. *)
 
 (** {1 Scenarios from Section 5}
 

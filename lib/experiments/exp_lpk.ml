@@ -53,8 +53,8 @@ let run (ctx : Context.t) =
             in
             let pairs = Metric.H_metric.pairs ~attackers ~dsts () in
             let doomed, protectable, immune =
-              Util.partition_fractions ~pool:(Context.pool ctx) ctx.graph
-                policy pairs
+              Util.partition_fractions ~pool:(Context.pool ctx)
+                ~cache:(Context.cache ctx) ctx.graph policy pairs
             in
             Prelude.Table.add_row table
               [

@@ -15,8 +15,8 @@ let run_policies (ctx : Context.t) policies =
   let dsts = Context.sample ctx "part-dst" ctx.all (Context.scaled ctx 45) in
   let pairs = Metric.H_metric.pairs ~attackers ~dsts () in
   let dep = Deployment.empty (Topology.Graph.n ctx.graph) in
-  let pool = Context.pool ctx in
-  let baseline = Util.h ~pool ctx.graph Context.sec3 dep pairs in
+  let pool = Context.pool ctx and cache = Context.cache ctx in
+  let baseline = Util.h ~pool ~cache ctx.graph Context.sec3 dep pairs in
   let table =
     Prelude.Table.create
       ~header:
@@ -25,7 +25,7 @@ let run_policies (ctx : Context.t) policies =
   List.iter
     (fun policy ->
       let doomed, protectable, immune =
-        Util.partition_fractions ~pool ctx.graph policy pairs
+        Util.partition_fractions ~pool ~cache ctx.graph policy pairs
       in
       Prelude.Table.add_row table
         [

@@ -31,12 +31,12 @@ let by_destination (ctx : Context.t) policy =
             members (Context.scaled ctx 25)
         in
         let pairs = Metric.H_metric.pairs ~attackers ~dsts () in
-        let pool = Context.pool ctx in
+        let pool = Context.pool ctx and cache = Context.cache ctx in
         let doomed, protectable, immune =
-          Util.partition_fractions ~pool ctx.graph policy pairs
+          Util.partition_fractions ~pool ~cache ctx.graph policy pairs
         in
         let baseline =
-          Util.h ~pool ctx.graph policy
+          Util.h ~pool ~cache ctx.graph policy
             (Deployment.empty (Topology.Graph.n ctx.graph))
             pairs
         in
@@ -69,8 +69,8 @@ let by_attacker (ctx : Context.t) policy =
         in
         let pairs = Metric.H_metric.pairs ~attackers ~dsts () in
         let doomed, protectable, immune =
-          Util.partition_fractions ~pool:(Context.pool ctx) ctx.graph policy
-            pairs
+          Util.partition_fractions ~pool:(Context.pool ctx)
+            ~cache:(Context.cache ctx) ctx.graph policy pairs
         in
         Prelude.Table.add_row table
           [
@@ -91,14 +91,21 @@ let by_source (ctx : Context.t) policy =
     Prelude.Table.create
       ~header:[ "source tier"; "doomed"; "protectable"; "immune" ]
   in
-  List.iter
-    (fun tier ->
-      let members = Context.tier_members ctx tier in
-      if Array.length members > 0 then begin
-        let doomed, protectable, immune =
-          Util.partition_fractions_among ~pool:(Context.pool ctx) ctx.graph
-            policy pairs ~sources:members
-        in
+  (* Classify each pair once and split its sources by tier. *)
+  let tiers = Array.of_list tier_list in
+  let tier_index = Array.make (Array.length ctx.all) (-1) in
+  Array.iteri
+    (fun i tier ->
+      Array.iter (fun v -> tier_index.(v) <- i) (Context.tier_members ctx tier))
+    tiers;
+  let by_tier =
+    Util.partition_fractions_by ~pool:(Context.pool ctx) ctx.graph policy pairs
+      ~groups:(Array.length tiers) ~group:(Array.get tier_index)
+  in
+  Array.iteri
+    (fun i tier ->
+      if Array.length (Context.tier_members ctx tier) > 0 then begin
+        let doomed, protectable, immune = by_tier.(i) in
         Prelude.Table.add_row table
           [
             Topology.Tiers.tier_name tier;
@@ -107,7 +114,7 @@ let by_source (ctx : Context.t) policy =
             Util.pct immune;
           ]
       end)
-    tier_list;
+    tiers;
   table
 
 let run (ctx : Context.t) =

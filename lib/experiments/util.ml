@@ -12,45 +12,41 @@ let pct_delta (b : Metric.H_metric.bounds) =
     (100. *. b.Metric.H_metric.ub)
 
 (* Average partition fractions over a set of attacker-destination pairs.
-   The per-pair classifications are independent; fan them out over the
+   Security 3rd classifies off the attacked state under S = {}, which
+   H(emptyset) also measures: its counts come batched per destination
+   word through the metric cache.  The other models derive the
+   partition from reachability closures and fan the pairs out over the
    pool (integer counts, so the reduction is order-insensitive anyway —
    we still reduce in input order). *)
-let partition_counts ?pool pairs ~count_one =
+let partition_fractions ?pool ?cache g policy pairs =
+  let per_pair =
+    match (policy : Routing.Policy.t).model with
+    | Security_third -> Metric.Partition.sec3_counts ?pool ?cache g policy pairs
+    | Security_first | Security_second ->
+        Parallel.map ?pool
+          (fun { Metric.H_metric.attacker; dst } ->
+            Metric.Partition.count
+              ~ws:(Routing.Engine.Workspace.local ())
+              g policy ~attacker ~dst)
+          pairs
+  in
+  Metric.Partition.fractions
+    (Array.fold_left Metric.Partition.add Metric.Partition.zero per_pair)
+
+let partition_fractions_by ?pool g policy pairs ~groups ~group =
   let per_pair =
     Parallel.map ?pool
       (fun { Metric.H_metric.attacker; dst } ->
-        count_one ~ws:(Routing.Engine.Workspace.local ()) ~attacker ~dst)
+        Metric.Partition.count_by
+          ~ws:(Routing.Engine.Workspace.local ())
+          g policy ~attacker ~dst ~groups ~group)
       pairs
   in
-  Array.fold_left Metric.Partition.add Metric.Partition.zero per_pair
-
-let partition_fractions ?pool g policy pairs =
-  let total =
-    (* Security 3rd classifies off one attacked solve, so pairs sharing
-       a destination ride one batched drain; the other models derive
-       the partition from reachability closures and stay per-pair. *)
-    match (policy : Routing.Policy.t).model with
-    | Security_third ->
-        let per_item =
-          Parallel.map ?pool
-            (fun (dst, attackers, _pos) ->
-              Array.fold_left Metric.Partition.add Metric.Partition.zero
-                (Metric.Partition.sec3_count_batch
-                   ~ws:(Routing.Batch.Workspace.local ())
-                   g policy ~dst ~attackers))
-            (Metric.H_metric.batch_plan pairs)
-        in
-        Array.fold_left Metric.Partition.add Metric.Partition.zero per_item
-    | Security_first | Security_second ->
-        partition_counts ?pool pairs ~count_one:(fun ~ws ~attacker ~dst ->
-            Metric.Partition.count ~ws g policy ~attacker ~dst)
-  in
-  Metric.Partition.fractions total
-
-let partition_fractions_among ?pool g policy pairs ~sources =
-  Metric.Partition.fractions
-    (partition_counts ?pool pairs ~count_one:(fun ~ws ~attacker ~dst ->
-         Metric.Partition.count_among ~ws g policy ~attacker ~dst ~sources))
+  let total = Array.make groups Metric.Partition.zero in
+  Array.iter
+    (Array.iteri (fun i c -> total.(i) <- Metric.Partition.add total.(i) c))
+    per_pair;
+  Array.map Metric.Partition.fractions total
 
 (* H over pairs, and the improvement over the empty deployment. *)
 let h ?pool ?cache g policy dep pairs =

@@ -12,21 +12,29 @@ val pct_delta : Metric.H_metric.bounds -> string
 
 val partition_fractions :
   ?pool:Parallel.Pool.t ->
+  ?cache:Metric.H_metric.Cache.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Metric.H_metric.pair array ->
   float * float * float
-(** Average (doomed, protectable, immune) fractions over the pairs,
-    fanned out over [pool] (or the default pool) one pair per work item;
-    each domain reuses its private engine workspace. *)
+(** Average (doomed, protectable, immune) fractions over the pairs.
+    Security 3rd (any LP) reads {!Metric.Partition.sec3_counts}: one
+    batched solve per destination word, served from and published to
+    [cache] under the slot [H(emptyset)] uses.  The other models
+    classify one pair per work item on [pool] (or the default pool),
+    each domain reusing its private engine workspace. *)
 
-val partition_fractions_among :
+val partition_fractions_by :
   ?pool:Parallel.Pool.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Metric.H_metric.pair array ->
-  sources:int array ->
-  float * float * float
+  groups:int ->
+  group:(int -> int) ->
+  (float * float * float) array
+(** {!partition_fractions} split by source group
+    ({!Metric.Partition.count_by}): each pair is classified once, and
+    entry [i] averages over the sources [v] with [group v = i]. *)
 
 val h :
   ?pool:Parallel.Pool.t ->

@@ -98,16 +98,24 @@ let pair_bounds ?ws g policy dep { attacker; dst } =
 
    Pairs sharing a destination share the whole attacker-free part of the
    routing tree, so they are solved together by {!Routing.Batch}: one
-   label-setting drain per <= 63 attackers.  The per-lane happiness
-   counts are folded directly off the frozen lane groups — one callback
-   per group, not per (lane, AS) — so no per-attacker outcome record is
-   ever materialized.  Skipping class-3 (root) groups excludes exactly
-   the two non-sources of each lane: the destination everywhere, and the
-   lane's own attacker in that lane; every other AS either has an
-   ordinary group containing the lane or is unreached (unhappy either
-   way).  The counts — and via [Stats.fraction] the float bounds — are
-   bit-identical to [to_bounds (happy outcome)] of a scalar
-   {!pair_bounds}. *)
+   label-setting drain per <= 63 attackers.  The drain counts each lane's
+   sources by the endpoints of their stable routes as it settles them
+   ({!Routing.Batch.endpoints}), so no per-attacker outcome record is
+   ever materialized and no walk over the groups follows the solve.  The
+   counts — and via [Stats.fraction] the float bounds — are bit-identical
+   to [to_bounds (happy outcome)] of a scalar {!pair_bounds}. *)
+
+(* A source is happy in the pessimistic world when every best route
+   leads to the destination, in the optimistic one when some does; the
+   sources are every AS but the destination and the attacker. *)
+let endpoint_bounds ~n (e : Routing.Batch.endpoints) =
+  let sources = n - 2 in
+  {
+    lb = Prelude.Stats.fraction e.d_only sources;
+    ub = Prelude.Stats.fraction (e.d_only + e.both) sources;
+  }
+
+let no_endpoints = { Routing.Batch.d_only = 0; m_only = 0; both = 0 }
 
 (* One work item: solve destination [bdst] for the attackers of the
    pairs at [bpos] (positions into the caller's index array). *)
@@ -147,8 +155,7 @@ let batch_items pairs idxs =
     (List.rev !order);
   Array.of_list (List.rev !items)
 
-(* Public face of the grouping, for callers that batch their own
-   per-pair folds (partition counts, the divergence checker). *)
+(* Public face of the grouping: the replay keeps one word per item. *)
 let batch_plan pairs =
   let idxs = Array.init (Array.length pairs) (fun i -> i) in
   Array.map
@@ -158,69 +165,24 @@ let batch_plan pairs =
         Array.copy item.bpos ))
     (batch_items pairs idxs)
 
-(* Per-lane bounds of a batched solve, folded off the frozen groups:
-   each ordinary group that reaches the destination adds its whole lane
-   mask to the [ub] counter at once, and to [lb] too unless it can also
-   reach the attacker.  Class-3 (root) groups are skipped, which drops
-   exactly each lane's two non-sources.  [lane_fold_add] takes one group
-   at a time, so a caller that walks the groups for its own ends (the
-   replay's snapshot) folds in the same walk. *)
-type lane_fold = {
-  f_ub : Prelude.Lane_counter.t;
-  f_lb : Prelude.Lane_counter.t;
-}
-
-let lane_fold ~n =
-  {
-    f_ub = Prelude.Lane_counter.create ~max_count:n;
-    f_lb = Prelude.Lane_counter.create ~max_count:n;
-  }
-
-let lane_fold_add f ~mask ~word =
-  let open Routing.Engine.Packed in
-  if cls_code_of word <> 3 && to_d_of word then begin
-    Prelude.Lane_counter.add f.f_ub mask;
-    if not (to_m_of word) then Prelude.Lane_counter.add f.f_lb mask
-  end
-
-let lane_fold_bounds f ~n ~lanes =
-  let sources = n - 2 in
-  let lb = Prelude.Lane_counter.to_array f.f_lb ~lanes
-  and ub = Prelude.Lane_counter.to_array f.f_ub ~lanes in
-  Array.init lanes (fun l ->
-      {
-        lb = Prelude.Stats.fraction lb.(l) sources;
-        ub = Prelude.Stats.fraction ub.(l) sources;
-      })
-
-let lane_bounds ~n b =
-  let f = lane_fold ~n in
-  Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-      lane_fold_add f ~mask ~word);
-  lane_fold_bounds f ~n ~lanes:(Routing.Batch.lanes b)
-
-(* Solve one item and fold the per-lane bounds off the groups. *)
-let batch_item_bounds ~ws g policy dep pairs idxs item =
-  let attackers =
-    Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
-  in
-  lane_bounds ~n:(Topology.Graph.n g)
-    (Routing.Batch.compute ~ws g policy dep ~dst:item.bdst ~attackers)
-
 (* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination.
-   Returns bounds aligned with [idxs]. *)
-let batched_map ?pool ?(domains = 1) g policy dep pairs idxs =
+   Returns endpoint counts aligned with [idxs]. *)
+let batched_map ?pool ?(domains = 1) ?attacker_claim g policy dep pairs idxs =
   let items = batch_items pairs idxs in
   let per_item =
     (* Items are few and coarse (one drain each): steal singly. *)
     Parallel.map ?pool ~domains ~chunk:1
       (fun item ->
-        batch_item_bounds
-          ~ws:(Routing.Batch.Workspace.local ())
-          g policy dep pairs idxs item)
+        let attackers =
+          Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
+        in
+        Routing.Batch.endpoints
+          (Routing.Batch.compute
+             ~ws:(Routing.Batch.Workspace.local ())
+             ?attacker_claim g policy dep ~dst:item.bdst ~attackers))
       items
   in
-  let out = Array.make (Array.length idxs) { lb = 0.; ub = 0. } in
+  let out = Array.make (Array.length idxs) no_endpoints in
   Array.iteri
     (fun k item ->
       Array.iteri (fun l j -> out.(j) <- per_item.(k).(l)) item.bpos)
@@ -257,20 +219,15 @@ module Cache = struct
   module Sc = Prelude.Shard_cache
 
   type t = {
-    store : bounds Sc.t;
+    store : Routing.Batch.endpoints Sc.t;
     mu : Mutex.t; (* guards the version intern table *)
     mutable versions : (int * int * Deployment.t * int) list;
         (* (topology version, deployment fingerprint, deployment, id) *)
     mutable next : int;
   }
 
-  let create ?shards () =
-    {
-      store = Sc.create ?shards ();
-      mu = Mutex.create ();
-      versions = [];
-      next = 0;
-    }
+  let create () =
+    { store = Sc.create (); mu = Mutex.create (); versions = []; next = 0 }
 
   let intern t g dep =
     let gv = Topology.Graph.version g in
@@ -296,29 +253,29 @@ module Cache = struct
      with the interned ids (those count up from 0). *)
   let unsigned_version g = -1 - Topology.Graph.version g
 
-  let key policy g dep ~version { attacker; dst } =
+  (* The attacker's claimed path length is part of the routing state:
+     [claim * n + attacker] is injective for a fixed graph, and the
+     version already tells graphs apart. *)
+  let key policy g dep ~version ~claim { attacker; dst } =
+    let k3 = (claim * Topology.Graph.n g) + attacker in
     if Deployment.signs_origin dep dst then
-      { Sc.k1 = policy_code policy; k2 = version; k3 = attacker; k4 = dst }
+      { Sc.k1 = policy_code policy; k2 = version; k3; k4 = dst }
     else
       (* See [normalized_code]: the outcome for an unsigned destination is
          independent of the model and the deployment, so all such entries
-         share one slot per local-preference variant and topology. *)
-      {
-        Sc.k1 = normalized_code policy;
-        k2 = unsigned_version g;
-        k3 = attacker;
-        k4 = dst;
-      }
+         share one slot per local-preference variant, claim and
+         topology. *)
+      { Sc.k1 = normalized_code policy; k2 = unsigned_version g; k3; k4 = dst }
 
-  (* [find t policy g dep ~version p] with [version = intern t g dep].
-     The deployment is consulted only for key normalization (does
-     [p.dst] sign?), the graph only for the unsigned-destination slot;
-     the version carries the identity. *)
-  let find t policy g dep ~version p =
-    Sc.find t.store (key policy g dep ~version p)
+  (* [find t policy g dep ~version ~claim p] with [version = intern t g
+     dep].  The deployment is consulted only for key normalization (does
+     [p.dst] sign?), the graph only for the unsigned-destination slot
+     and the claim's stride; the version carries the identity. *)
+  let find t policy g dep ~version ~claim p =
+    Sc.find t.store (key policy g dep ~version ~claim p)
 
-  let store t policy g dep ~version p b =
-    Sc.store t.store (key policy g dep ~version p) b
+  let store t policy g dep ~version ~claim p e =
+    Sc.store t.store (key policy g dep ~version ~claim p) e
 
   let length t = Sc.length t.store
   let hits t = Sc.hits t.store
@@ -340,9 +297,9 @@ module Cache = struct
               && not (Routing.Incremental.dirty_pair cone ~attacker ~dst)
             then
               let p = { attacker; dst } in
-              match find t policy g old_dep ~version:old_v p with
-              | Some b ->
-                  store t policy g new_dep ~version:new_v p b;
+              match find t policy g old_dep ~version:old_v ~claim:1 p with
+              | Some e ->
+                  store t policy g new_dep ~version:new_v ~claim:1 p e;
                   incr carried
               | None -> ())
           attackers)
@@ -365,39 +322,44 @@ let mean vals =
     { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
   end
 
-let h_metric ?pool ?(domains = 1) ?cache g policy dep pairs =
+let pair_endpoints ?pool ?(domains = 1) ?cache ?(attacker_claim = 1) g policy
+    dep pairs =
   let total = Array.length pairs in
-  if total = 0 then { lb = 0.; ub = 0. }
-  else begin
-    let find, remember =
-      match cache with
-      | None -> ((fun _ -> None), fun _ _ -> ())
-      | Some c ->
-          let version = Cache.intern c g dep in
-          ( (fun p -> Cache.find c policy g dep ~version p),
-            fun p b -> Cache.store c policy g dep ~version p b )
+  let find, remember =
+    match cache with
+    | Some c when total > 0 ->
+        let version = Cache.intern c g dep in
+        ( (fun p -> Cache.find c policy g dep ~version ~claim:attacker_claim p),
+          fun p e ->
+            Cache.store c policy g dep ~version ~claim:attacker_claim p e )
+    | Some _ | None -> ((fun _ -> None), fun _ _ -> ())
+  in
+  (* Pre-resolve the cache per pair, then solve only the misses,
+     destination-major, whole attacker words at a time. *)
+  let vals = Array.make total no_endpoints in
+  let miss = ref [] in
+  Array.iteri
+    (fun i p ->
+      match find p with Some e -> vals.(i) <- e | None -> miss := i :: !miss)
+    pairs;
+  let idxs = Array.of_list (List.rev !miss) in
+  if Array.length idxs > 0 then begin
+    let out =
+      batched_map ?pool ~domains ~attacker_claim g policy dep pairs idxs
     in
-    (* Pre-resolve the cache per pair, then solve only the misses,
-       destination-major, whole attacker words at a time. *)
-    let vals = Array.make total { lb = 0.; ub = 0. } in
-    let miss = ref [] in
     Array.iteri
-      (fun i p ->
-        match find p with
-        | Some b -> vals.(i) <- b
-        | None -> miss := i :: !miss)
-      pairs;
-    let idxs = Array.of_list (List.rev !miss) in
-    if Array.length idxs > 0 then begin
-      let out = batched_map ?pool ~domains g policy dep pairs idxs in
-      Array.iteri
-        (fun j i ->
-          vals.(i) <- out.(j);
-          remember pairs.(i) out.(j))
-        idxs
-    end;
-    mean vals
-  end
+      (fun j i ->
+        vals.(i) <- out.(j);
+        remember pairs.(i) out.(j))
+      idxs
+  end;
+  vals
+
+let h_metric ?pool ?domains ?cache ?attacker_claim g policy dep pairs =
+  let n = Topology.Graph.n g in
+  mean
+    (Array.map (endpoint_bounds ~n)
+       (pair_endpoints ?pool ?domains ?cache ?attacker_claim g policy dep pairs))
 
 let h_metric_per_dst ?pool ?cache g policy dep ~attackers ~dst =
   let ps =
@@ -418,7 +380,7 @@ module Evaluator = struct
     dsts : int array; (* distinct destinations of [pairs] *)
     pool : Parallel.Pool.t option;
     cache : Cache.t;
-    mutable prev : (Deployment.t * bounds array) option;
+    mutable prev : (Deployment.t * Routing.Batch.endpoints array) option;
     mutable st : stats;
   }
 
@@ -450,13 +412,13 @@ module Evaluator = struct
   let eval t dep =
     let version = Cache.intern t.cache t.g dep in
     let n = Array.length t.pairs in
-    let vals = Array.make n { lb = 0.; ub = 0. } in
+    let vals = Array.make n no_endpoints in
     let carried = ref 0 and hits = ref 0 in
     let to_compute = ref [] in
     let classify_fresh i p =
-      match Cache.find t.cache t.policy t.g dep ~version p with
-      | Some b ->
-          vals.(i) <- b;
+      match Cache.find t.cache t.policy t.g dep ~version ~claim:1 p with
+      | Some e ->
+          vals.(i) <- e;
           incr hits
       | None -> to_compute := i :: !to_compute
     in
@@ -493,7 +455,7 @@ module Evaluator = struct
        sibling evaluators and plain [h_metric ~cache] calls sharing this
        cache then hit on the whole step. *)
     Array.iteri
-      (fun i p -> Cache.store t.cache t.policy t.g dep ~version p vals.(i))
+      (fun i p -> Cache.store t.cache t.policy t.g dep ~version ~claim:1 p vals.(i))
       t.pairs;
     t.prev <- Some (dep, vals);
     t.st <-
@@ -502,12 +464,12 @@ module Evaluator = struct
         carried = t.st.carried + !carried;
         cache_hits = t.st.cache_hits + !hits;
       };
-    mean vals
+    mean (Array.map (endpoint_bounds ~n:(Topology.Graph.n t.g)) vals)
 
   let values t =
     match t.prev with
     | None -> invalid_arg "Evaluator.values: no deployment evaluated yet"
-    | Some (_, vals) -> Array.copy vals
+    | Some (_, vals) -> Array.map (endpoint_bounds ~n:(Topology.Graph.n t.g)) vals
 
   let stats t = t.st
 end
@@ -574,8 +536,8 @@ module Replay = struct
     }
 
   (* One batched solve of a word against the current graph: freeze the
-     group state and fold the per-lane bounds off the groups in the same
-     walk, before anything else touches the shared workspace. *)
+     group state and read the drain's per-lane counts, before anything
+     else touches the shared workspace. *)
   let solve_word t vals w =
     let n = Topology.Graph.n t.r_g in
     let b =
@@ -583,11 +545,10 @@ module Replay = struct
         ~ws:(Routing.Batch.Workspace.local ())
         t.r_g t.r_policy t.r_dep ~dst:w.w_dst ~attackers:w.w_attackers
     in
-    let f = lane_fold ~n in
-    w.w_state <-
-      Some (Routing.Incremental.Topo.snapshot ~each:(lane_fold_add f) ~n b);
-    let bounds = lane_fold_bounds f ~n ~lanes:(Routing.Batch.lanes b) in
-    Array.iteri (fun l j -> vals.(j) <- bounds.(l)) w.w_pos
+    w.w_state <- Some (Routing.Incremental.Topo.snapshot ~n b);
+    Array.iteri
+      (fun l e -> vals.(w.w_pos.(l)) <- endpoint_bounds ~n e)
+      (Routing.Batch.endpoints b)
 
   let eval t =
     let vals =

@@ -48,8 +48,17 @@ val pair_bounds :
     stable-state computation.  This is the per-pair quantity {!h_metric}
     averages and the unit the incremental machinery caches and checks. *)
 
-(** Concurrent memo cache of per-pair {!bounds}, keyed by
-    policy x (topology, deployment) version x pair.  Versions are
+val endpoint_bounds : n:int -> Routing.Batch.endpoints -> bounds
+(** Happy-source bounds of a pair on an [n]-AS graph: [lb] counts the
+    sources routing to the destination only, [ub] adds the tied ones,
+    both as fractions of the [n - 2] sources.  Bit-identical to
+    {!pair_bounds} on the same state. *)
+
+(** Concurrent memo cache of per-pair {!Routing.Batch.endpoints}, the
+    counts both the metric and the security-3rd partition fold, keyed by
+    policy x attacker claim x (topology, deployment) version x pair.
+    One entry is one routing state; {!h_metric} derives its bounds on
+    read ({!endpoint_bounds}).  Versions are
     interned by content within a topology ({!Topology.Graph.version} +
     {!Deployment.fingerprint} + {!Deployment.equal}), so structurally
     equal deployments on the same graph share entries, and two graphs —
@@ -61,14 +70,15 @@ val pair_bounds :
     origin under the keyed deployment, no announcement in the stable state
     is ever secure, so the outcome is independent of both the security
     model and the deployment (but {e not} of the topology).  All such
-    entries collapse onto one reserved slot per local-preference variant
-    and graph — [H(emptyset)] baselines are shared across the three
-    models, and unsigned destinations are shared across every deployment
-    of a rollout. *)
+    entries collapse onto one reserved slot per local-preference variant,
+    claim and graph — [H(emptyset)] baselines are shared across the three
+    models, unsigned destinations across every deployment of a rollout,
+    and the security-3rd partition (which reads the [S = {}] state) with
+    [H(emptyset)]. *)
 module Cache : sig
   type t
 
-  val create : ?shards:int -> unit -> t
+  val create : unit -> t
 
   val intern : t -> Topology.Graph.t -> Deployment.t -> int
   (** Stable small-int version of a deployment's content on this graph. *)
@@ -84,13 +94,14 @@ module Cache : sig
     dsts:int array ->
     int
   (** [carry t policy g cone ~old_dep ~new_dep ~attackers ~dsts]
-      republishes, under [new_dep]'s version, the cached bounds of every
+      republishes, under [new_dep]'s version, the cached counts of every
       (attacker, dst) pair the dirty [cone] proves unchanged by the
       [old_dep -> new_dep] delta.  [cone] must have been computed for that
       delta, on graph [g], with a destination set covering [dsts].  Pairs
       with no cached entry under [old_dep] are skipped.  Returns the
-      number of entries carried.  The production caller is the Max-k
-      optimizer's CELF re-score: it republishes the cached bounds along
+      number of entries carried (states with the default claim 1 only).
+      The production caller is the Max-k optimizer's CELF re-score: it
+      republishes the cached counts along
       each candidate's chain from the deployment it was last scored
       against, so the evaluator hits on the clean pairs. *)
 
@@ -107,28 +118,46 @@ val batch_plan : pair array -> (int * int array * int array) array
     array ([attackers.(l)] is [pairs.(positions.(l)).attacker]).
     Every input position appears in exactly one item. *)
 
+val pair_endpoints :
+  ?pool:Parallel.Pool.t ->
+  ?domains:int ->
+  ?cache:Cache.t ->
+  ?attacker_claim:int ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  Deployment.t ->
+  pair array ->
+  Routing.Batch.endpoints array
+(** Per-pair {!Routing.Batch.endpoints} of the attacked stable states, in
+    pair order.
+    Pairs sharing a destination are solved together by the
+    destination-major batched kernel — one routing-tree drain per
+    {!Routing.Batch.max_lanes} attackers — whose drain counts every
+    lane as it settles.  [attacker_claim] (default 1, the ["m d"]
+    announcement) is the path length the attacker claims, as in
+    {!Routing.Batch.compute}.  [pool] fans the words out over a
+    persistent worker pool; otherwise [domains > 1] borrows the default
+    pool (the words are independent and the graph is read-only).  Every
+    domain reuses its private {!Routing.Batch.Workspace}, and the
+    results are scattered back by pair position, so they are
+    bit-identical whatever the parallelism.
+
+    [cache] memoizes the per-pair counts across calls (hits skip the
+    engine entirely); the cache must belong to this graph. *)
+
 val h_metric :
   ?pool:Parallel.Pool.t ->
   ?domains:int ->
   ?cache:Cache.t ->
+  ?attacker_claim:int ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Deployment.t ->
   pair array ->
   bounds
-(** [H_{M,D}(S)] estimated over the given attacker-destination pairs.
-    Pairs sharing a destination are solved together by the
-    destination-major batched kernel — one routing-tree drain per
-    {!Routing.Batch.max_lanes} attackers — with per-lane counts folded
-    straight off the packed lane groups.  [pool] fans the words out over
-    a persistent worker pool; otherwise [domains > 1] borrows the default
-    pool (the words are independent and the graph is read-only).  Every
-    domain reuses its private {!Routing.Batch.Workspace}, and the
-    per-pair results are reduced in input order, so the value is
-    bit-identical whatever the parallelism.
-
-    [cache] memoizes per-pair bounds across calls (hits skip the engine
-    entirely); the cache must belong to this graph. *)
+(** [H_{M,D}(S)] estimated over the given attacker-destination pairs:
+    the mean, in pair order, of the {!endpoint_bounds} of
+    {!pair_endpoints} (same arguments). *)
 
 val h_metric_per_dst :
   ?pool:Parallel.Pool.t ->

@@ -121,30 +121,11 @@ let sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n =
   in
   let full_mask = (1 lsl (k + 1)) - 1 in
   (* Topological order of the customer-provider hierarchy, customers
-     first. *)
+     first; built once per graph. *)
   let topo =
-    let indeg = Array.make n 0 in
-    for v = 0 to n - 1 do
-      indeg.(v) <- Array.length (Topology.Graph.customers g v)
-    done;
-    let queue = Queue.create () in
-    for v = 0 to n - 1 do
-      if indeg.(v) = 0 then Queue.add v queue
-    done;
-    let order = ref [] in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      order := u :: !order;
-      Array.iter
-        (fun p ->
-          indeg.(p) <- indeg.(p) - 1;
-          if indeg.(p) = 0 then Queue.add p queue)
-        (Topology.Graph.providers g u)
-    done;
-    let order = List.rev !order in
-    if List.length order <> n then
-      failwith "Partition: customer-provider hierarchy has a cycle";
-    Array.of_list order
+    match Topology.Graph.hierarchy g with
+    | Ok order -> order
+    | Error _ -> failwith "Partition: customer-provider hierarchy has a cycle"
   in
   (* Per root: does each AS have a class-respecting candidate route to it
      within its own bucket? *)
@@ -247,72 +228,48 @@ let compute ?ws g policy ~attacker ~dst =
       | Standard -> sec2_standard_partition g ~attacker ~dst n
       | Lp_k k -> sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n)
 
-let count_of_classes classes skip =
-  let c = ref zero in
+let one_source = function
+  | Doomed -> { zero with doomed = 1; sources = 1 }
+  | Protectable -> { zero with protectable = 1; sources = 1 }
+  | Immune -> { zero with immune = 1; sources = 1 }
+  | Unreachable -> { zero with unreachable = 1; sources = 1 }
+
+let count_by ?ws g policy ~attacker ~dst ~groups ~group =
+  let classes = compute ?ws g policy ~attacker ~dst in
+  let by = Array.make groups zero in
   Array.iteri
     (fun v cls ->
-      if not (skip v) then begin
-        let one = { zero with sources = 1 } in
-        let one =
-          match cls with
-          | Doomed -> { one with doomed = 1 }
-          | Protectable -> { one with protectable = 1 }
-          | Immune -> { one with immune = 1 }
-          | Unreachable -> { one with unreachable = 1 }
-        in
-        c := add !c one
-      end)
+      let i = group v in
+      if v <> attacker && v <> dst && i >= 0 && i < groups then
+        by.(i) <- add by.(i) (one_source cls))
     classes;
-  !c
+  by
 
 let count ?ws g policy ~attacker ~dst =
-  let classes = compute ?ws g policy ~attacker ~dst in
-  count_of_classes classes (fun v -> v = attacker || v = dst)
+  (count_by ?ws g policy ~attacker ~dst ~groups:1 ~group:(fun _ -> 0)).(0)
 
-(* Security 3rd for a whole attacker word at once: the classification
-   reads only the endpoint flags of the baseline (empty-deployment)
-   attacked solve, so one batched drain classifies every lane.  The
-   fold skips class-3 (root) groups — the destination everywhere and
-   each lane's own attacker in its lane, exactly the per-lane excluded
-   sources — and adds each other group's lane mask to the counter of
-   its flag pair; an AS with no group in a lane is unreached there, so
-   [unreachable] is the remainder.  Counts are bit-identical to
-   per-attacker {!count}. *)
-let sec3_count_batch ?ws g policy ~dst ~attackers =
+(* Security 3rd reads the endpoints of the attacked state under S = {}
+   (Corollary E.1): to the destination only is immune, to the attacker
+   only doomed, tied protectable, and an AS with no route in a lane is
+   unreachable.  That state is the very one H(emptyset) measures, so
+   the counts come from {!H_metric.pair_endpoints} and share its
+   cache slots (the destination never signs under S = {}, so the slot
+   is the normalized one every model and deployment shares). *)
+let of_endpoints ~n (e : Routing.Batch.endpoints) =
+  let sources = n - 2 in
+  {
+    doomed = e.m_only;
+    protectable = e.both;
+    immune = e.d_only;
+    unreachable = sources - e.m_only - e.both - e.d_only;
+    sources;
+  }
+
+let sec3_counts ?pool ?cache g policy pairs =
   (match (policy : Routing.Policy.t).model with
   | Security_third -> ()
   | Security_first | Security_second ->
-      invalid_arg "Partition.sec3_count_batch: policy is not security 3rd");
+      invalid_arg "Partition.sec3_counts: policy is not security 3rd");
   let n = Topology.Graph.n g in
-  let counter () = Prelude.Lane_counter.create ~max_count:n in
-  let doomed = counter () and protectable = counter () and immune = counter () in
-  let b =
-    Routing.Batch.compute ?ws g policy (Deployment.empty n) ~dst ~attackers
-  in
-  Routing.Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-      let open Routing.Engine.Packed in
-      if cls_code_of word <> 3 then
-        if to_d_of word then
-          Prelude.Lane_counter.add
-            (if to_m_of word then protectable else immune)
-            mask
-        else if to_m_of word then Prelude.Lane_counter.add doomed mask);
-  let lanes = Array.length attackers and sources = n - 2 in
-  let doomed = Prelude.Lane_counter.to_array doomed ~lanes
-  and protectable = Prelude.Lane_counter.to_array protectable ~lanes
-  and immune = Prelude.Lane_counter.to_array immune ~lanes in
-  Array.init lanes (fun l ->
-      {
-        doomed = doomed.(l);
-        protectable = protectable.(l);
-        immune = immune.(l);
-        unreachable = sources - doomed.(l) - protectable.(l) - immune.(l);
-        sources;
-      })
-
-let count_among ?ws g policy ~attacker ~dst ~sources =
-  let classes = compute ?ws g policy ~attacker ~dst in
-  let keep = Hashtbl.create (Array.length sources) in
-  Array.iter (fun v -> Hashtbl.replace keep v ()) sources;
-  count_of_classes classes (fun v ->
-      v = attacker || v = dst || not (Hashtbl.mem keep v))
+  Array.map (of_endpoints ~n)
+    (H_metric.pair_endpoints ?pool ?cache g policy (Deployment.empty n) pairs)

@@ -76,27 +76,30 @@ val count :
   dst:int ->
   counts
 
-val sec3_count_batch :
-  ?ws:Routing.Batch.Workspace.t ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  dst:int ->
-  attackers:int array ->
-  counts array
-(** Security-3rd {!count} for every attacker of one destination off a
-    single batched solve ({!Routing.Batch}): the classification depends
-    only on the endpoint flags of the baseline attacked state, so one
-    drain serves up to [Routing.Batch.max_lanes] attackers.  Returns
-    the per-attacker counts in input order, bit-identical to calling
-    {!count} per pair.  Raises [Invalid_argument] if the policy's model
-    is not [Security_third] or the lane count is outside the batch
-    kernel's bounds. *)
-
-val count_among :
+val count_by :
   ?ws:Routing.Engine.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   attacker:int ->
   dst:int ->
-  sources:int array ->
-  counts
+  groups:int ->
+  group:(int -> int) ->
+  counts array
+(** {!count} split by source group: one classification of the pair,
+    and entry [i] counts the sources [v] with [group v = i].  Sources
+    whose group falls outside [0 .. groups - 1] are left out. *)
+
+val sec3_counts :
+  ?pool:Parallel.Pool.t ->
+  ?cache:H_metric.Cache.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  H_metric.pair array ->
+  counts array
+(** Security-3rd {!count} of every pair, in pair order, bit-identical to
+    calling {!count} per pair.  The classification reads only the
+    endpoints of the attacked state under [S = {}], which is the state
+    [H(emptyset)] measures: the counts are {!H_metric.pair_endpoints}
+    of that state, batched per destination word and served from (and
+    published to) [cache] under the same slot as [H(emptyset)].  Raises
+    [Invalid_argument] if the policy's model is not [Security_third]. *)

@@ -16,6 +16,9 @@ val create : max_count:int -> t
     [max_count] (none when [max_count = 0]).  Raises [Invalid_argument]
     if [max_count < 0]. *)
 
+val clear : t -> unit
+(** [clear t] sets every lane back to 0, keeping the planes. *)
+
 val add : t -> int -> unit
 (** [add t mask] adds 1 to the count of every lane whose bit is set in
     [mask] (bit 62, the sign bit, included).  Raises [Invalid_argument]
@@ -25,7 +28,3 @@ val add : t -> int -> unit
 val get : t -> int -> int
 (** [get t lane] is lane [lane]'s count.  Raises [Invalid_argument]
     unless [0 <= lane < Bitset.word_bits]. *)
-
-val to_array : t -> lanes:int -> int array
-(** [to_array t ~lanes] is [[| get t 0; ...; get t (lanes - 1) |]].
-    Raises [Invalid_argument] unless [0 <= lanes <= Bitset.word_bits]. *)

@@ -30,13 +30,12 @@ type 'v t = {
   misses : int Atomic.t;
 }
 
-let default_shards = 64
+let num_shards = 64
 
-let create ?(shards = default_shards) () =
-  if shards < 1 then invalid_arg "Shard_cache.create: shards < 1";
+let create () =
   {
     shards =
-      Array.init shards (fun _ ->
+      Array.init num_shards (fun _ ->
           { mutex = Mutex.create (); table = Tbl.create 256 });
     hits = Atomic.make 0;
     misses = Atomic.make 0;

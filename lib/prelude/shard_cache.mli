@@ -15,9 +15,8 @@ type key = { k1 : int; k2 : int; k3 : int; k4 : int }
 
 type 'v t
 
-val create : ?shards:int -> unit -> 'v t
-(** [create ()] makes an empty cache with 64 shards (override with
-    [~shards]; raises [Invalid_argument] if [< 1]). *)
+val create : unit -> 'v t
+(** [create ()] makes an empty cache with 64 shards. *)
 
 val find : 'v t -> key -> 'v option
 val store : 'v t -> key -> 'v -> unit

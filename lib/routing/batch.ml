@@ -76,6 +76,12 @@ module Workspace = struct
     mutable gparent : slab;
     mutable touched : Prelude.Bitset.t; (* ASes holding any group *)
     mutable queue : Prelude.Bucket_queue.t option;
+    (* Per-lane counts of the non-root (AS, lane) routes the drain fixed,
+       by endpoint flags: to the attacker only, to the destination only,
+       to both.  Sized for [cap] ASes, cleared at each checkout. *)
+    mutable m_only : Prelude.Lane_counter.t;
+    mutable d_only : Prelude.Lane_counter.t;
+    mutable both : Prelude.Lane_counter.t;
   }
 
   let slab cap =
@@ -94,6 +100,9 @@ module Workspace = struct
       gparent = slab cap;
       touched = Prelude.Bitset.create cap;
       queue = None;
+      m_only = Prelude.Lane_counter.create ~max_count:cap;
+      d_only = Prelude.Lane_counter.create ~max_count:cap;
+      both = Prelude.Lane_counter.create ~max_count:cap;
     }
 
   let key = Domain.DLS.new_key (fun () -> create 0)
@@ -108,13 +117,19 @@ module Workspace = struct
       t.gmask <- slab n;
       t.gword <- slab n;
       t.gparent <- slab n;
-      t.touched <- Prelude.Bitset.create n
+      t.touched <- Prelude.Bitset.create n;
+      t.m_only <- Prelude.Lane_counter.create ~max_count:n;
+      t.d_only <- Prelude.Lane_counter.create ~max_count:n;
+      t.both <- Prelude.Lane_counter.create ~max_count:n
     end
 
   let checkout t ~n ~max_rank =
     grow t n;
     t.epoch <- t.epoch + 1;
     Prelude.Bitset.clear t.touched;
+    Prelude.Lane_counter.clear t.m_only;
+    Prelude.Lane_counter.clear t.d_only;
+    Prelude.Lane_counter.clear t.both;
     let queue =
       match t.queue with
       | Some q when Prelude.Bucket_queue.capacity q >= max_rank ->
@@ -136,8 +151,6 @@ type t = {
   ws : Workspace.t; (* owns the frozen group state *)
   epoch : int; (* result valid while ws.epoch = epoch *)
 }
-
-let lanes t = t.b_lanes
 
 let live t =
   if t.ws.Workspace.epoch <> t.epoch then
@@ -368,11 +381,22 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
      once.  Rank injectivity means they all decode to the same
      (cls, len, secure), so expansion needs one CSR walk per distinct
      endpoint-flag value (to_m / to_d / both) — the masks are unioned
-     per flag class first. *)
+     per flag class first.
+
+     Each (AS, lane) is fixed by exactly one pop, with its final
+     endpoint flags (relax never touches a fixed lane), so adding the
+     three unioned masks to the workspace's lane counters counts every
+     lane's stable routes by endpoint as they settle.  Root groups are
+     fixed before the drain and never popped, which leaves out exactly
+     each lane's two non-sources: the destination, and the lane's own
+     attacker. *)
   (* Scratch refs hoisted like [relax]'s; the [pop_exn]/[last_rank] pair
      avoids boxing an option per settled rank. *)
   let em1 = ref 0 and em2 = ref 0 and em3 = ref 0 in
   let shared = ref 0 in
+  let m_only = ws.Workspace.m_only in
+  let d_only = ws.Workspace.d_only in
+  let both = ws.Workspace.both in
   let rec drain () =
     if not (Prelude.Bucket_queue.is_empty queue) then begin
       let v = Prelude.Bucket_queue.pop_exn queue in
@@ -404,15 +428,21 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
         let len = Packed.len_of gw in
         let secure = Packed.secure_of gw in
         let m1 = !em1 and m2 = !em2 and m3 = !em3 in
-        if m1 <> 0 then
+        if m1 <> 0 then begin
+          Prelude.Lane_counter.add m_only m1;
           expand v ~mask:m1 ~cls_code ~len ~secure ~flags:1
-            ~exports_everywhere:false;
-        if m2 <> 0 then
+            ~exports_everywhere:false
+        end;
+        if m2 <> 0 then begin
+          Prelude.Lane_counter.add d_only m2;
           expand v ~mask:m2 ~cls_code ~len ~secure ~flags:2
-            ~exports_everywhere:false;
-        if m3 <> 0 then
+            ~exports_everywhere:false
+        end;
+        if m3 <> 0 then begin
+          Prelude.Lane_counter.add both m3;
           expand v ~mask:m3 ~cls_code ~len ~secure ~flags:3
             ~exports_everywhere:false
+        end
       end;
       drain ()
     end
@@ -442,6 +472,18 @@ let iter_fixed t f =
         f ~v ~mask:gmask.{gi} ~word:gword.{gi} ~parent:gparent.{gi}
       done)
     ws.Workspace.touched
+
+type endpoints = { d_only : int; m_only : int; both : int }
+
+let endpoints t =
+  live t;
+  let ws = t.ws in
+  Array.init t.b_lanes (fun l ->
+      {
+        d_only = Prelude.Lane_counter.get ws.Workspace.d_only l;
+        m_only = Prelude.Lane_counter.get ws.Workspace.m_only l;
+        both = Prelude.Lane_counter.get ws.Workspace.both l;
+      })
 
 let groups t =
   live t;

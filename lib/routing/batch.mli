@@ -74,8 +74,6 @@ val compute :
     [1 .. max_lanes], any id is out of range, some attacker equals
     [dst], or [attacker_claim < 0]. *)
 
-val lanes : t -> int
-
 val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> unit
 (** Iterate every frozen group of every reached AS, in ascending AS
     order, all groups of one AS consecutively.  [mask] is the lane
@@ -83,11 +81,24 @@ val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> u
     packed candidate — decode with {!Engine.Packed} — and [parent] the
     representative next hop.  Root groups carry class code 3: the
     destination's full-lane root and, at each attacker, the bogus-origin
-    root of its own lane.  Metric folds consume groups directly (one
-    callback per group, not per lane), which is how per-attacker
-    happiness and partition counts are accumulated without materializing
-    [lanes t] outcome records.  ASes unreached in some lane simply have
-    no group containing that lane. *)
+    root of its own lane.  Consumers that need the state itself, not
+    just its counts ({!endpoints}), walk the groups here: one callback
+    per group, not per lane, so no [lanes t] outcome records are
+    materialized.  ASes unreached in some lane simply have no group
+    containing that lane. *)
+
+type endpoints = { d_only : int; m_only : int; both : int }
+(** One lane's sources by the endpoints of their stable routes: to the
+    destination only, to the attacker only, or tied between both.
+    Sources in none of the three are unreached.  The destination and
+    the lane's attacker are not sources. *)
+
+val endpoints : t -> endpoints array
+(** Per-lane {!endpoints}, in lane order.  The drain counts them while
+    it settles each lane (bit-sliced {!Prelude.Lane_counter}s in the
+    workspace), so reading them costs O(lanes), not a walk over the
+    groups.  They equal what a walk over {!iter_fixed}'s non-root groups
+    would tally, each group's mask counted under its word's flags. *)
 
 val groups : t -> int
 (** The number of groups {!iter_fixed} visits, counted from the per-AS

@@ -163,13 +163,12 @@ module Topo = struct
   (* One walk over the groups: {!Batch.iter_fixed} visits ASes in
      ascending order, so each AS's offset is final when the walk first
      reaches it; {!Batch.groups} sizes the arrays exactly up front. *)
-  let snapshot ~each ~n b =
+  let snapshot ~n b =
     let total = Batch.groups b in
     let off = Array.make (n + 1) total in
     let mask = Array.make total 0 and word = Array.make total 0 in
     let i = ref 0 and next = ref 0 in
     Batch.iter_fixed b (fun ~v ~mask:m ~word:w ~parent:_ ->
-        each ~mask:m ~word:w;
         while !next <= v do
           off.(!next) <- !i;
           incr next

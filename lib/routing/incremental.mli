@@ -82,13 +82,10 @@ module Topo : sig
       (lane mask, packed word) groups.  About three ints per reached
       (AS, group) — retained per word by a replay evaluator. *)
 
-  val snapshot :
-    each:(mask:int -> word:int -> unit) -> n:int -> Batch.t -> word_state
+  val snapshot : n:int -> Batch.t -> word_state
   (** Freeze a completed batch solve ([n] is the graph size) in one
-      {!Batch.iter_fixed} walk.  [each] sees every group of that walk,
-      so the caller folds its per-lane tallies without walking the
-      groups again.  Must be called while the result is live (before
-      its workspace's next checkout). *)
+      {!Batch.iter_fixed} walk.  Must be called while the result is live
+      (before its workspace's next checkout). *)
 
   val influenced :
     word_state ->

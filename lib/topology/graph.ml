@@ -60,12 +60,13 @@ type t = {
   num_c2p : int;
   num_p2p : int;
   version : int;
-  (* Both caches follow the same race discipline: two domains racing on
+  (* The three caches follow the same race discipline: two domains racing on
      a cold cache both build identical values and one pointer write wins
      — wasted work, never a wrong answer (the fields hold immutable
      values and pointer writes are atomic). *)
   mutable tables : tables option;
   mutable csr_cache : Csr.t option;
+  mutable hierarchy_cache : (int array, int array) result option;
 }
 
 (* Graph identity for caches: process-global, monotone, never reused.
@@ -211,7 +212,8 @@ let of_edges ~n edge_list =
   sort_all providers;
   sort_all peers;
   { n; num_c2p = !num_c2p; num_p2p = !num_p2p; version = fresh_version ();
-    tables = Some { customers; providers; peers }; csr_cache = None }
+    tables = Some { customers; providers; peers }; csr_cache = None;
+    hierarchy_cache = None }
 
 let unsafe_of_adjacency ~customers ~providers ~peers =
   let n = Array.length customers in
@@ -220,7 +222,8 @@ let unsafe_of_adjacency ~customers ~providers ~peers =
   let sum arrs = Array.fold_left (fun acc a -> acc + Array.length a) 0 arrs in
   { n; num_c2p = sum customers; num_p2p = sum peers / 2;
     version = fresh_version ();
-    tables = Some { customers; providers; peers }; csr_cache = None }
+    tables = Some { customers; providers; peers }; csr_cache = None;
+    hierarchy_cache = None }
 
 let of_csr ~adj ~xs =
   let fail msg = invalid_arg ("Graph.of_csr: " ^ msg) in
@@ -290,7 +293,7 @@ let of_csr ~adj ~xs =
   done;
   { n; num_c2p = !num_c2p; num_p2p = !peer_entries / 2;
     version = fresh_version (); tables = None;
-    csr_cache = Some { Csr.adj; xs } }
+    csr_cache = Some { Csr.adj; xs }; hierarchy_cache = None }
 
 let n g = g.n
 let version g = g.version
@@ -349,28 +352,47 @@ let edges g =
   done;
   !acc
 
-let acyclic_hierarchy g =
-  let tb = tables g in
-  (* Kahn's algorithm on the customer -> provider digraph. *)
-  let indeg = Array.make g.n 0 in
-  for v = 0 to g.n - 1 do
-    indeg.(v) <- Array.length tb.customers.(v)
-  done;
-  let queue = Queue.create () in
-  for v = 0 to g.n - 1 do
-    if indeg.(v) = 0 then Queue.add v queue
-  done;
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr seen;
-    Array.iter
-      (fun p ->
-        indeg.(p) <- indeg.(p) - 1;
-        if indeg.(p) = 0 then Queue.add p queue)
-      tb.providers.(v)
-  done;
-  !seen = g.n
+(* Kahn's algorithm on the customer -> provider digraph, once per
+   graph: the ASes in the order it retires them (every customer before
+   its providers), or — when some never reach in-degree 0 — those, which
+   sit on or above a cycle. *)
+let hierarchy g =
+  match g.hierarchy_cache with
+  | Some h -> h
+  | None ->
+      let tb = tables g in
+      let indeg = Array.make g.n 0 in
+      for v = 0 to g.n - 1 do
+        indeg.(v) <- Array.length tb.customers.(v)
+      done;
+      let queue = Queue.create () in
+      for v = 0 to g.n - 1 do
+        if indeg.(v) = 0 then Queue.add v queue
+      done;
+      let order = Array.make g.n 0 in
+      let seen = ref 0 in
+      while not (Queue.is_empty queue) do
+        let v = Queue.pop queue in
+        order.(!seen) <- v;
+        incr seen;
+        Array.iter
+          (fun p ->
+            indeg.(p) <- indeg.(p) - 1;
+            if indeg.(p) = 0 then Queue.add p queue)
+          tb.providers.(v)
+      done;
+      let h =
+        if !seen = g.n then Ok order
+        else begin
+          let cycle = ref [] in
+          for v = g.n - 1 downto 0 do
+            if indeg.(v) > 0 then cycle := v :: !cycle
+          done;
+          Error (Array.of_list !cycle)
+        end
+      in
+      g.hierarchy_cache <- Some h;
+      h
 
 let connected g =
   if g.n <= 1 then true
@@ -575,7 +597,8 @@ module Delta = struct
       order;
     { n = g.n; num_c2p = g.num_c2p + dc2p; num_p2p = g.num_p2p + dp2p;
       version = fresh_version ();
-      tables = Some { customers; providers; peers }; csr_cache = None }
+      tables = Some { customers; providers; peers }; csr_cache = None;
+    hierarchy_cache = None }
 end
 
 type view = {

@@ -113,9 +113,13 @@ val edges : t -> edge list
 (** Every edge exactly once ([Customer_provider (c, p)] and
     [Peer_peer (a, b)] with [a < b]). *)
 
-val acyclic_hierarchy : t -> bool
-(** Whether the customer-to-provider digraph is acyclic (the standard
-    sanity condition on annotated AS graphs). *)
+val hierarchy : t -> (int array, int array) result
+(** The customer-to-provider digraph in topological order: [Ok order]
+    lists every AS once, each customer before its providers; [Error
+    cycle] lists, ascending, the ASes that sit on or above a
+    customer-to-provider cycle (acyclicity is the standard sanity
+    condition on annotated AS graphs).  Computed once per graph (Kahn's
+    algorithm) and memoized; do not mutate the returned array. *)
 
 val connected : t -> bool
 (** Whether the underlying undirected graph is connected (trivially true

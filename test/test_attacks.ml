@@ -106,6 +106,85 @@ let test_strategy_names () =
   Alcotest.(check string) "hijack name" "prefix hijack"
     (Attacks.strategy_name Attacks.Prefix_hijack)
 
+(* The attacks experiment reads fabricated paths and the unfiltered
+   prefix hijack through the metric cache, one destination word per
+   claim.  Its averages must equal the per-pair [simulate] fold bit for
+   bit, for every strategy, both origin-authentication settings, every
+   model plus LP-2 and three deployments, on a cold and on a warm
+   cache. *)
+let test_avg_happy_cached () =
+  let ctx = Experiments.Context.make ~n:300 ~seed:5 ~scale:0.1 () in
+  let g = ctx.Experiments.Context.graph in
+  let n = Graph.n g in
+  let pairs =
+    Metric.pairs
+      ~attackers:
+        (Experiments.Context.sample ctx "t-att" ctx.Experiments.Context.non_stubs 6)
+      ~dsts:(Experiments.Context.sample ctx "t-dst" ctx.Experiments.Context.all 5)
+      ()
+  in
+  let per_pair policy dep ~origin_auth strategy =
+    let lb = ref 0. and ub = ref 0. in
+    Array.iter
+      (fun { Metric.attacker; dst } ->
+        let flb, fub =
+          Attacks.happy_fraction
+            (Attacks.simulate ~origin_auth g policy dep ~attacker ~dst strategy)
+        in
+        lb := !lb +. flb;
+        ub := !ub +. fub)
+      pairs;
+    let k = float_of_int (Array.length pairs) in
+    (!lb /. k, !ub /. k)
+  in
+  let deps =
+    [
+      Deployment.empty n;
+      Deployment.tier1_tier2 g ctx.Experiments.Context.tiers ~n_t1:3 ~n_t2:10;
+      random_deployment (Rng.create 9) n;
+    ]
+  in
+  let policies =
+    Policy.make ~lp:(Policy.Lp_k 2) Policy.Security_third
+    :: Experiments.Context.policies
+  in
+  let strategies =
+    Attacks.
+      [
+        Prefix_hijack;
+        Subprefix_hijack;
+        Fabricated_path 1;
+        Fabricated_path 2;
+        Fabricated_path 3;
+        Fabricated_path 5;
+      ]
+  in
+  List.iter
+    (fun dep ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun origin_auth ->
+              List.iter
+                (fun strategy ->
+                  let want = per_pair policy dep ~origin_auth strategy in
+                  let got () =
+                    Experiments.Exp_attacks.avg_happy ctx policy dep
+                      ~origin_auth pairs strategy
+                  in
+                  let what =
+                    Printf.sprintf "%s, %s, OA %b" (Policy.name policy)
+                      (Attacks.strategy_name strategy) origin_auth
+                  in
+                  Alcotest.(check bool) (what ^ ", cold") true (got () = want);
+                  Alcotest.(check bool) (what ^ ", warm") true (got () = want))
+                strategies)
+            [ false; true ])
+        policies)
+    deps;
+  Alcotest.(check bool) "the twins hit the cache" true
+    (Metric.Cache.hits (Experiments.Context.cache ctx) > 0)
+
 let () =
   Alcotest.run "attacks"
     [
@@ -125,4 +204,9 @@ let () =
         ] );
       ( "properties",
         [ test_shorter_claims_stronger; test_hijack_at_least_as_strong ] );
+      ( "experiment",
+        [
+          Alcotest.test_case "cached avg_happy = per-pair simulate" `Quick
+            test_avg_happy_cached;
+        ] );
     ]

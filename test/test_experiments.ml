@@ -118,13 +118,46 @@ let test_registry () =
   Alcotest.(check bool) "find rejects junk" true
     (Experiments.Registry.find "nope" = None)
 
-let experiment_case ctx entry =
-  Alcotest.test_case entry.Experiments.Registry.id `Slow (fun () ->
+(* MD5 of each experiment's output on the two contexts above.  Any
+   change to a number, a row or a label moves a digest, so a refactor
+   of the metric path that is meant to be output-neutral is checked
+   byte for byte here, at n = 1 200, in seconds.  A change that is
+   meant to move an output updates its digest, with the reason. *)
+let base_digests =
+  [
+    ("baseline", "ed2df81eded03567de041f1be12f03b0");
+    ("partitions", "dc126dc6463ea2f1ca7cb141326c9810");
+    ("partitions-tier", "91ab087b9da63f4e3f02154bb9977e1a");
+    ("rollout", "2eecd77d1df7db4d52aedc0257f741d9");
+    ("per-destination", "986cd3678b571ad83bc89f2cfa6138b3");
+    ("cp-fate", "b9767c146769784e75eda1c48a3c4038");
+    ("early-adopters", "516848784a6b678ed0424311163cc682");
+    ("root-cause", "9cf009daebe26782be2aec6b4f23735b");
+    ("phenomena", "a4e7b433e66c9c5a75a562eb25b917f1");
+    ("lpk", "538269c3e72a2cd40dde9fac5fab9c59");
+    ("attacks", "7addaa88de312234d12f4b51fc9da69b");
+    ("extensions", "320b09ccda8c1aedb2f9caec5e85c853");
+    ("anecdotes", "52fa57a4102910a2dd57c67a51dfffa5");
+    ("optimize", "dbeb24b6c361d87d70630eb5e6044392");
+  ]
+
+let ixp_digests =
+  [
+    ("baseline", "f06baa917ad3f347e7abf0097ececf52");
+    ("partitions", "203085181e2dfb172e8f47c4a9f37de0");
+    ("partitions-tier", "710823b29f34b171610509c77a553541");
+    ("lpk", "63f52520e1605510ef1bf3692dd5b258");
+  ]
+
+let experiment_case ~digests ctx entry =
+  let id = entry.Experiments.Registry.id in
+  Alcotest.test_case id `Slow (fun () ->
       let out = entry.Experiments.Registry.run (Lazy.force ctx) in
-      Alcotest.(check bool)
-        (entry.Experiments.Registry.id ^ " produces output")
-        true
+      Alcotest.(check bool) (id ^ " produces output") true
         (String.length out > 100);
+      Alcotest.(check (option string))
+        (id ^ " output digest") (List.assoc_opt id digests)
+        (Some (Digest.to_hex (Digest.string out)));
       (* Every experiment quotes its paper anchor in the header. *)
       Alcotest.(check bool)
         (entry.Experiments.Registry.id ^ " mentions the paper")
@@ -203,7 +236,9 @@ let () =
           Alcotest.test_case "stable across seeds" `Slow test_seed_stability;
         ] );
       ( "runs end to end",
-        List.map (experiment_case ctx) Experiments.Registry.all );
+        List.map
+          (experiment_case ~digests:base_digests ctx)
+          Experiments.Registry.all );
       ( "App. J on the IXP graph",
-        List.map (experiment_case ixp_ctx) app_j_entries );
+        List.map (experiment_case ~digests:ixp_digests ixp_ctx) app_j_entries );
     ]

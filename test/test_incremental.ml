@@ -400,11 +400,7 @@ let influence_case ~max_lanes seed check =
       List.iter
         (fun tiebreak ->
           let b = solve g policy tiebreak in
-          let st =
-            Core.Incremental.Topo.snapshot
-              ~each:(fun ~mask:_ ~word:_ -> ())
-              ~n b
-          in
+          let st = Core.Incremental.Topo.snapshot ~n b in
           let before =
             Array.mapi (fun lane _ -> Core.Batch.decode b ~lane) attackers
           in

@@ -320,6 +320,66 @@ let test_batch_workspace_reuse =
             false
           with Invalid_argument _ -> true))
 
+(* The drain's per-lane endpoint counts against their specification: a
+   walk over every frozen non-root group after the solve, tallying each
+   lane of its mask under the word's endpoint flags (the fold the metric
+   layer ran before the drain counted).  Full 63-lane words on graphs of
+   70+ ASes push counts into high planes; one workspace is reused across
+   growing and shrinking graphs, so stale planes or counts from an
+   earlier, larger solve would show. *)
+let walk_endpoints b ~lanes =
+  let d = Array.make lanes 0 and m = Array.make lanes 0 in
+  let both = Array.make lanes 0 in
+  Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
+      if Engine.Packed.cls_code_of word <> 3 then
+        for l = 0 to lanes - 1 do
+          if mask land (1 lsl l) <> 0 then
+            match (Engine.Packed.to_d_of word, Engine.Packed.to_m_of word) with
+            | true, false -> d.(l) <- d.(l) + 1
+            | false, true -> m.(l) <- m.(l) + 1
+            | true, true -> both.(l) <- both.(l) + 1
+            | false, false -> ()
+        done);
+  Array.init lanes (fun l ->
+      { Batch.d_only = d.(l); m_only = m.(l); both = both.(l) })
+
+let test_drain_endpoints =
+  qtest "drain endpoint counts = group-walk fold" ~count:40 (fun seed ->
+      let rng = Rng.create seed in
+      let ws = Batch.Workspace.create 0 in
+      let policies =
+        [| sec1; sec2; sec3; Policy.make ~lp:(Policy.Lp_k 2) Policy.Security_third |]
+      in
+      List.for_all
+        (fun (min_n, max_n, full) ->
+          let g = random_graph ~min_n rng ~max_n in
+          let n = Graph.n g in
+          let dst = Rng.int rng n in
+          let attackers =
+            if full then
+              Array.map
+                (fun m -> if m >= dst then m + 1 else m)
+                (Rng.sample_without_replacement rng Batch.max_lanes (n - 1))
+            else random_attackers rng ~n ~dst
+          in
+          let policy = policies.(Rng.int rng (Array.length policies)) in
+          let tiebreak =
+            if coin rng then Engine.Bounds else Engine.Lowest_next_hop
+          in
+          let claim = Rng.int rng 4 in
+          let b =
+            Batch.compute ~ws ~tiebreak ~attacker_claim:claim g policy
+              (random_deployment rng n) ~dst ~attackers
+          in
+          Batch.endpoints b = walk_endpoints b ~lanes:(Array.length attackers))
+        [
+          (70, 110, true);
+          (3, 9, false);
+          (100, 130, true);
+          (3, 30, false);
+          (70, 90, true);
+        ])
+
 let test_batch_validation () =
   let rng = Rng.create 7 in
   let g = random_graph rng ~max_n:10 in
@@ -368,6 +428,7 @@ let () =
           test_batch_vs_engine;
           test_batch_vs_staged;
           test_batch_workspace_reuse;
+          test_drain_endpoints;
           Alcotest.test_case "validation" `Quick test_batch_validation;
         ] );
       ( "csr",

@@ -373,7 +373,8 @@ let test_sec3_count_batch =
         if coin rng then sec3
         else Policy.make ~lp:(Policy.Lp_k (1 + Rng.int rng 3)) Policy.Security_third
       in
-      let batch = Partition.sec3_count_batch g policy ~dst ~attackers in
+      let pairs = Array.map (fun m -> { Metric.attacker = m; dst }) attackers in
+      let batch = Partition.sec3_counts g policy pairs in
       let ok = ref true in
       Array.iteri
         (fun l m ->
@@ -423,13 +424,121 @@ let test_full_word_identity =
           ~lp:(if coin rng then Policy.Standard else Policy.Lp_k 2)
           Policy.Security_third
       in
-      let counts = Partition.sec3_count_batch g sec3 ~dst ~attackers in
+      let counts = Partition.sec3_counts g sec3 pairs in
       same (Metric.h_metric g policy dep pairs) scalar
       && same replayed scalar
       && Array.for_all2 same (Metric.Replay.values rp) want
       && Array.for_all2
            (fun m c -> Partition.count g sec3 ~attacker:m ~dst = c)
            attackers counts)
+
+(* The metric cache holds endpoint counts per routing state, so the
+   security-3rd partition (any LP) and every model's H(emptyset) read one
+   slot.  Served from the cache, each must equal its direct computation
+   bit for bit: the partition fractions under the standard LP, LP-2 and
+   LP-60 against per-pair [Partition.count], and the H baselines against
+   the cache-free batched metric. *)
+let test_cache_served_identity =
+  qtest "cache-served partitions and baselines = direct" ~count:40
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:40 in
+      let n = Graph.n g in
+      let pairs =
+        Metric.pairs
+          ~attackers:(Rng.sample_without_replacement rng (min 7 n) n)
+          ~dsts:(Rng.sample_without_replacement rng (min 4 n) n)
+          ()
+      in
+      Array.length pairs = 0
+      ||
+      let cache = Metric.Cache.create () in
+      let empty = Deployment.empty n in
+      let direct_fractions policy =
+        Partition.fractions
+          (Array.fold_left
+             (fun acc { Metric.attacker; dst } ->
+               Partition.add acc (Partition.count g policy ~attacker ~dst))
+             Partition.zero pairs)
+      in
+      let frac_ok lp =
+        let policy = Policy.make ~lp Policy.Security_third in
+        let want = direct_fractions policy in
+        let part () = Experiments.Util.partition_fractions ~cache g policy pairs in
+        let first = part () in
+        let hits = Metric.Cache.hits cache in
+        let second = part () in
+        first = want && second = want && Metric.Cache.hits cache > hits
+      in
+      let baseline_ok policy =
+        let hits = Metric.Cache.hits cache in
+        let cached = Experiments.Util.h ~cache g policy empty pairs in
+        cached = Metric.h_metric g policy empty pairs
+        && Metric.Cache.hits cache >= hits + Array.length pairs
+      in
+      frac_ok Policy.Standard
+      && frac_ok (Policy.Lp_k 2)
+      && frac_ok (Policy.Lp_k 60)
+      && List.for_all baseline_ok [ sec1; sec2; sec3 ])
+
+(* [count_by] classifies a pair once and splits its sources by group;
+   its per-group counts equal the per-group reclassification it
+   replaces (classify, then keep the sources in the group), for every
+   model and LP variant. *)
+let test_count_by =
+  qtest "count_by = per-group reclassification" ~count:100 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:30 in
+      let n = Graph.n g in
+      let dst = Rng.int rng n in
+      let attacker =
+        let m = Rng.int rng (n - 1) in
+        if m >= dst then m + 1 else m
+      in
+      let policy =
+        Policy.make
+          ~lp:(if coin rng then Policy.Standard else Policy.Lp_k 2)
+          (match Rng.int rng 3 with
+          | 0 -> Policy.Security_first
+          | 1 -> Policy.Security_second
+          | _ -> Policy.Security_third)
+      in
+      let groups = 8 in
+      (* -1 leaves a source out of every group. *)
+      let label = Array.init n (fun _ -> Rng.int rng (groups + 1) - 1) in
+      let by =
+        Partition.count_by g policy ~attacker ~dst ~groups
+          ~group:(Array.get label)
+      in
+      let among members =
+        let keep = Hashtbl.create 16 in
+        Array.iter (fun v -> Hashtbl.replace keep v ()) members;
+        let classes = Partition.compute g policy ~attacker ~dst in
+        let c = ref Partition.zero in
+        Array.iteri
+          (fun v cls ->
+            if v <> attacker && v <> dst && Hashtbl.mem keep v then
+              c :=
+                Partition.add !c
+                  (match cls with
+                  | Partition.Doomed -> { Partition.zero with doomed = 1; sources = 1 }
+                  | Partition.Protectable ->
+                      { Partition.zero with protectable = 1; sources = 1 }
+                  | Partition.Immune -> { Partition.zero with immune = 1; sources = 1 }
+                  | Partition.Unreachable ->
+                      { Partition.zero with unreachable = 1; sources = 1 }))
+          classes;
+        !c
+      in
+      Array.length by = groups
+      && List.for_all
+           (fun i ->
+             let members =
+               Array.of_list
+                 (List.filter (fun v -> label.(v) = i) (List.init n Fun.id))
+             in
+             by.(i) = among members)
+           (List.init groups Fun.id))
 
 let () =
   Alcotest.run "metric"
@@ -455,5 +564,7 @@ let () =
           test_protectable_sec1;
           test_partition_bounds_metric;
           test_sec3_count_batch;
+          test_cache_served_identity;
+          test_count_by;
         ] );
     ]

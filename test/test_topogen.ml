@@ -25,7 +25,7 @@ let structural_props seed =
       ok := false
     end
   in
-  check "acyclic" (Graph.acyclic_hierarchy g);
+  check "acyclic" (Result.is_ok (Graph.hierarchy g));
   check "connected" (Graph.connected g);
   (* Only the Tier 1s lack providers. *)
   let providerless = ref 0 in

@@ -14,7 +14,7 @@ let test_graph_basics () =
   Alcotest.(check int) "degree of 1" 3 (Graph.degree g 1);
   Alcotest.(check bool) "3 is a stub" true (Graph.is_stub g 3);
   Alcotest.(check bool) "0 is not a stub" false (Graph.is_stub g 0);
-  Alcotest.(check bool) "acyclic" true (Graph.acyclic_hierarchy g);
+  Alcotest.(check bool) "acyclic" true (Result.is_ok (Graph.hierarchy g));
   Alcotest.(check bool) "connected" true (Graph.connected g)
 
 let test_graph_rejects_self_loop () =
@@ -37,7 +37,24 @@ let test_graph_out_of_range () =
 
 let test_cycle_detection () =
   let g = graph 3 [ c2p 0 1; c2p 1 2; c2p 2 0 ] in
-  Alcotest.(check bool) "cyclic hierarchy" false (Graph.acyclic_hierarchy g)
+  Alcotest.(check bool) "cyclic hierarchy" false (Result.is_ok (Graph.hierarchy g));
+  (* 3 and 4 hang below and above the cycle: 3 is retired, 4 is not. *)
+  let g = graph 5 [ c2p 0 1; c2p 1 2; c2p 2 0; c2p 3 0; c2p 2 4 ] in
+  (match Graph.hierarchy g with
+  | Ok _ -> Alcotest.fail "cycle not detected"
+  | Error cycle ->
+      Alcotest.(check (array int)) "ASes on or above the cycle" [| 0; 1; 2; 4 |]
+        cycle);
+  (* An acyclic hierarchy lists every AS once, customers first. *)
+  let g = graph 4 [ c2p 1 0; c2p 2 0; p2p 1 2; c2p 3 1 ] in
+  match Graph.hierarchy g with
+  | Error _ -> Alcotest.fail "acyclic graph reported cyclic"
+  | Ok order ->
+      let pos = Array.make 4 (-1) in
+      Array.iteri (fun i v -> pos.(v) <- i) order;
+      Alcotest.(check bool) "a permutation" true (Array.for_all (( <= ) 0) pos);
+      Alcotest.(check bool) "customers first" true
+        (pos.(3) < pos.(1) && pos.(1) < pos.(0) && pos.(2) < pos.(0))
 
 let test_disconnected () =
   let g = graph 4 [ c2p 0 1; c2p 2 3 ] in
