@@ -29,19 +29,15 @@ let damage_sec2 () =
       ]
   in
   let s = Deployment.make ~n:10 ~full:[| 0; 2; 3; 4; 5 |] () in
-  let col =
-    Phenomena.collateral g sec2 ~baseline:(Deployment.empty 10) ~deployment:s
-      ~attacker:9 ~dst:0
-  in
-  Printf.printf "   damages: %d, benefits: %d\n\n" col.Phenomena.damage
-    col.Phenomena.benefit;
-  (* Theorem 6.1: impossible under security 3rd. *)
-  let col3 =
-    Phenomena.collateral g sec3 ~baseline:(Deployment.empty 10) ~deployment:s
-      ~attacker:9 ~dst:0
-  in
-  Printf.printf "   same scenario under security 3rd (Theorem 6.1): damages = %d\n\n"
-    col3.Phenomena.damage
+  match Phenomena.sum g [ sec2; sec3 ] s [| { Metric.attacker = 9; dst = 0 } |] with
+  | [ col; col3 ] ->
+      Printf.printf "   damages: %d, benefits: %d\n\n" col.Phenomena.damage
+        col.Phenomena.benefit;
+      (* Theorem 6.1: impossible under security 3rd. *)
+      Printf.printf
+        "   same scenario under security 3rd (Theorem 6.1): damages = %d\n\n"
+        col3.Phenomena.damage
+  | _ -> assert false
 
 let benefit_sec3 () =
   print_endline "2. Collateral BENEFIT under security 3rd (Figure 15)";
@@ -50,8 +46,7 @@ let benefit_sec3 () =
   let g = Graph.of_edges ~n:5 [ c2p 0 2; p2p 1 2; p2p 1 3; c2p 4 1 ] in
   let s = Deployment.make ~n:5 ~full:[| 0; 1; 2 |] () in
   let col =
-    Phenomena.collateral g sec3 ~baseline:(Deployment.empty 5) ~deployment:s
-      ~attacker:3 ~dst:0
+    List.hd (Phenomena.sum g [ sec3 ] s [| { Metric.attacker = 3; dst = 0 } |])
   in
   Printf.printf "   benefits: %d, damages: %d\n\n" col.Phenomena.benefit
     col.Phenomena.damage
@@ -80,30 +75,19 @@ let aggregate () =
   let tiers = Topogen.tiers result in
   let dep = Deployment.tier1_tier2 g tiers ~n_t1:13 ~n_t2:50 in
   let rng = Rng.create 11 in
-  let totals = Hashtbl.create 3 in
-  List.iter (fun p -> Hashtbl.replace totals p (0, 0)) [ sec1; sec2; sec3 ];
+  let pairs = ref [] in
   for _ = 1 to 40 do
     let dst = Rng.int rng (Graph.n g) in
     let attacker = Rng.int rng (Graph.n g) in
-    if dst <> attacker then
-      List.iter
-        (fun policy ->
-          let col =
-            Phenomena.collateral g policy
-              ~baseline:(Deployment.empty (Graph.n g))
-              ~deployment:dep ~attacker ~dst
-          in
-          let b, d = Hashtbl.find totals policy in
-          Hashtbl.replace totals policy
-            (b + col.Phenomena.benefit, d + col.Phenomena.damage))
-        [ sec1; sec2; sec3 ]
+    if dst <> attacker then pairs := { Metric.attacker; dst } :: !pairs
   done;
-  List.iter
-    (fun policy ->
-      let b, d = Hashtbl.find totals policy in
+  let policies = [ sec1; sec2; sec3 ] in
+  List.iter2
+    (fun policy col ->
       Printf.printf "   %-14s benefits: %5d   damages: %5d\n"
-        (Policy.name policy) b d)
-    [ sec1; sec2; sec3 ];
+        (Policy.name policy) col.Phenomena.benefit col.Phenomena.damage)
+    policies
+    (Phenomena.sum g policies dep (Array.of_list !pairs));
   print_endline
     "   (as in Table 3: benefits everywhere, damages never under 3rd)"
 

@@ -13,6 +13,11 @@ let sec1 = Context.sec1
 let sec2 = Context.sec2
 let sec3 = Context.sec3
 
+(* The Section-6 classification of one pair under one policy. *)
+let phenomena g policy dep ~attacker ~dst =
+  List.hd
+    (Metric.Phenomena.sum g [ policy ] dep [| { Metric.H_metric.attacker; dst } |])
+
 let path_str out v =
   match Routing.Outcome.path out v with
   | [] -> "(no route)"
@@ -109,14 +114,11 @@ let figure14 () =
     (Printf.sprintf
        "  after S*BGP:  ISP 2 prefers the longer secure %s; victim 6 happy: %b (collateral damage)\n"
        (path_str dep 2) (Routing.Outcome.happy_lb dep 6));
-  let col3 =
-    Metric.Phenomena.collateral g sec3 ~baseline:(Deployment.empty 10)
-      ~deployment:s ~attacker:9 ~dst:0
-  in
+  let col3 = phenomena g sec3 s ~attacker:9 ~dst:0 in
   Buffer.add_string buf
     (Printf.sprintf
        "  same scenario under security 3rd: %d damages (Theorem 6.1)\n"
-       col3.Metric.Phenomena.damage);
+       col3.damage);
   Buffer.contents buf
 
 let figure15 () =
@@ -128,15 +130,12 @@ let figure15 () =
   Buffer.add_string buf
     "Figure 15 - collateral benefit under security 3rd\n\
      (0=dst Pandora, 1=AS3267, 3=attacker, 4=insecure customer AS34223)\n";
-  let col =
-    Metric.Phenomena.collateral g sec3 ~baseline:(Deployment.empty 5)
-      ~deployment:s ~attacker:3 ~dst:0
-  in
+  let col = phenomena g sec3 s ~attacker:3 ~dst:0 in
   Buffer.add_string buf
     (Printf.sprintf
        "  AS3267 ties between two equal peer routes; securing breaks the tie toward the destination.\n\
        \  collateral benefits: %d, damages: %d (Theorem 6.1: none possible)\n"
-       col.Metric.Phenomena.benefit col.Metric.Phenomena.damage);
+       col.benefit col.damage);
   Buffer.contents buf
 
 let figure17 () =

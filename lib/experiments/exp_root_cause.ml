@@ -29,31 +29,23 @@ let run (ctx : Context.t) =
           "metric change";
         ]
   in
-  List.iter
-    (fun policy ->
-      let total =
-        Array.fold_left
-          (fun acc { Metric.H_metric.attacker; dst } ->
-            Metric.Phenomena.root_cause_add acc
-              (Metric.Phenomena.root_cause ctx.graph policy dep ~attacker ~dst))
-          Metric.Phenomena.root_cause_zero pairs
-      in
-      let f x = Prelude.Stats.fraction x total.Metric.Phenomena.sources in
+  List.iter2
+    (fun policy (t : Metric.Phenomena.t) ->
+      let f x = Prelude.Stats.fraction x t.sources in
       Prelude.Table.add_row table
         [
           Routing.Policy.name policy;
-          Util.pct (f total.Metric.Phenomena.rc_secure_normal);
-          Util.pct (f total.Metric.Phenomena.rc_downgraded);
-          Util.pct (f total.Metric.Phenomena.rc_wasted);
-          Util.pct (f total.Metric.Phenomena.rc_protecting);
-          Util.pct (f total.Metric.Phenomena.rc_benefit);
-          Util.pct (f total.Metric.Phenomena.rc_damage);
-          Printf.sprintf "%+.1f%%"
-            (100.
-            *. (f total.Metric.Phenomena.rc_happy_dep
-               -. f total.Metric.Phenomena.rc_happy_base));
+          Util.pct (f t.secure_normal);
+          Util.pct (f t.downgraded);
+          Util.pct (f t.wasted);
+          Util.pct (f t.protecting);
+          Util.pct (f t.benefit);
+          Util.pct (f t.damage);
+          Printf.sprintf "%+.1f%%" (100. *. (f t.happy_dep -. f t.happy_base));
         ])
-    Context.policies;
+    Context.policies
+    (Metric.Phenomena.sum ~pool:(Context.pool ctx) ctx.graph Context.policies
+       dep pairs);
   Util.header title paper
   ^ Printf.sprintf "S = all T1s, T2s and their stubs (%s); %d pairs\n"
       (Deployment.describe dep) (Array.length pairs)

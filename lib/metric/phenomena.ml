@@ -1,151 +1,196 @@
-type downgrade = {
+type t = {
+  sources : int;
   secure_normal : int;
   downgraded : int;
-  secure_after : int;
-  sources : int;
+  wasted : int;
+  protecting : int;
+  benefit : int;
+  damage : int;
+  happy_base : int;
+  happy_dep : int;
+  exempt : int;
+  exempt_lost : int;
 }
 
-let downgrade_zero =
-  { secure_normal = 0; downgraded = 0; secure_after = 0; sources = 0 }
-
-(* The [int] annotation pins the comparisons to the immediate-int
-   primitives; unannotated this generalizes to ['a] and every call
-   dispatches through the polymorphic runtime. *)
-let is_source ~attacker ~dst (v : int) = v <> attacker && v <> dst
-
-let downgrades g policy dep ~attacker ~dst =
-  let normal = Routing.Engine.compute g policy dep ~dst ~attacker:None in
-  let attack =
-    Routing.Engine.compute g policy dep ~dst ~attacker:(Some attacker)
-  in
-  (* Sources whose normal route runs through the attacker lose it no
-     matter what; Theorem 3.1 (and its sec-1st guarantee) exempts them,
-     so they are not counted as protocol downgrades. *)
-  let through_attacker v =
-    Routing.Outcome.reached normal v
-    && List.mem attacker (Routing.Outcome.path normal v)
-  in
-  let acc = ref downgrade_zero in
-  for v = 0 to Topology.Graph.n g - 1 do
-    if is_source ~attacker ~dst v then begin
-      let a = !acc in
-      let secure_n =
-        Routing.Outcome.secure normal v && not (through_attacker v)
-      in
-      let secure_a = Routing.Outcome.secure attack v in
-      acc :=
-        {
-          sources = a.sources + 1;
-          secure_normal = (a.secure_normal + if secure_n then 1 else 0);
-          downgraded = (a.downgraded + if secure_n && not secure_a then 1 else 0);
-          secure_after = (a.secure_after + if secure_n && secure_a then 1 else 0);
-        }
-    end
-  done;
-  !acc
-
-type root_cause = {
-  sources : int;
-  rc_secure_normal : int;
-  rc_downgraded : int;
-  rc_wasted : int;
-  rc_protecting : int;
-  rc_benefit : int;
-  rc_damage : int;
-  rc_happy_base : int;
-  rc_happy_dep : int;
-}
-
-let root_cause_zero =
+let zero =
   {
     sources = 0;
-    rc_secure_normal = 0;
-    rc_downgraded = 0;
-    rc_wasted = 0;
-    rc_protecting = 0;
-    rc_benefit = 0;
-    rc_damage = 0;
-    rc_happy_base = 0;
-    rc_happy_dep = 0;
+    secure_normal = 0;
+    downgraded = 0;
+    wasted = 0;
+    protecting = 0;
+    benefit = 0;
+    damage = 0;
+    happy_base = 0;
+    happy_dep = 0;
+    exempt = 0;
+    exempt_lost = 0;
   }
 
-let root_cause_add a b =
+let add a b =
   {
     sources = a.sources + b.sources;
-    rc_secure_normal = a.rc_secure_normal + b.rc_secure_normal;
-    rc_downgraded = a.rc_downgraded + b.rc_downgraded;
-    rc_wasted = a.rc_wasted + b.rc_wasted;
-    rc_protecting = a.rc_protecting + b.rc_protecting;
-    rc_benefit = a.rc_benefit + b.rc_benefit;
-    rc_damage = a.rc_damage + b.rc_damage;
-    rc_happy_base = a.rc_happy_base + b.rc_happy_base;
-    rc_happy_dep = a.rc_happy_dep + b.rc_happy_dep;
+    secure_normal = a.secure_normal + b.secure_normal;
+    downgraded = a.downgraded + b.downgraded;
+    wasted = a.wasted + b.wasted;
+    protecting = a.protecting + b.protecting;
+    benefit = a.benefit + b.benefit;
+    damage = a.damage + b.damage;
+    happy_base = a.happy_base + b.happy_base;
+    happy_dep = a.happy_dep + b.happy_dep;
+    exempt = a.exempt + b.exempt;
+    exempt_lost = a.exempt_lost + b.exempt_lost;
   }
 
-let root_cause g policy dep ~attacker ~dst =
+(* Per AS, a lane mask: bit [l] speaks of the pair whose attacker sits
+   in lane [l].  One set per destination serves all of its words. *)
+type scratch = {
+  own : int array;  (** lanes whose attacker is [v] *)
+  base : int array;  (** lanes where [v] is happy, S = {} *)
+  sec : int array;  (** lanes where [v]'s route is secure, S *)
+  hap : int array;  (** lanes where [v] is happy, S *)
+  through : int array;  (** lanes whose attacker is on [v]'s normal path *)
+  known : bool array;  (** [through.(v)] is set *)
+}
+
+let scratch n =
+  let masks () = Array.make n 0 in
+  {
+    own = masks ();
+    base = masks ();
+    sec = masks ();
+    hap = masks ();
+    through = masks ();
+    known = Array.make n false;
+  }
+
+(* One walk over the groups of a word: per AS, the lanes whose route is
+   secure into [secure] and the lanes that are happy into [happy].
+   Unreached lanes are neither. *)
+let fill_lanes b ~n ~secure ~happy =
+  Array.fill secure 0 n 0;
+  Array.fill happy 0 n 0;
+  Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
+      let open Routing.Engine.Packed in
+      if secure_of word then secure.(v) <- secure.(v) lor mask;
+      if to_d_of word && not (to_m_of word) then
+        happy.(v) <- happy.(v) lor mask)
+
+(* [through.(v)] is [own.(v)] or'ed with its normal next hop's set: the
+   lanes whose attacker lies on [v]'s representative normal path.  Each
+   AS is marked once, so this is O(n) per word and policy. *)
+let mark_through s normal ~n =
+  Array.fill s.known 0 n false;
+  let rec mark v =
+    if v < 0 then 0
+    else if s.known.(v) then s.through.(v)
+    else begin
+      let t = s.own.(v) lor mark (Routing.Outcome.next_hop normal v) in
+      s.through.(v) <- t;
+      s.known.(v) <- true;
+      t
+    end
+  in
+  for v = 0 to n - 1 do ignore (mark v) done
+
+(* Classify every (lane, source) of one word under one policy: each
+   field reads as its definition in the interface.  [normal = None]
+   holds no secure route. *)
+let classify s dep normal ~n ~dst ~lanes =
+  let all = if lanes >= Routing.Batch.max_lanes then -1 else (1 lsl lanes) - 1 in
+  let count f =
+    let c = ref 0 in
+    for v = 0 to n - 1 do
+      if v <> dst then c := !c + Prelude.Bitset.popcount_word (f v)
+    done;
+    !c
+  in
+  let src v = all land lnot s.own.(v) in
+  let sn v =
+    match normal with
+    | Some o when Routing.Outcome.secure o v -> src v
+    | Some _ | None -> 0
+  in
+  let sa v = s.sec.(v) and th v = s.through.(v) in
+  let hb v = s.base.(v) land src v and hd v = s.hap.(v) land src v in
+  let insecure v = if Deployment.is_full dep v then 0 else src v in
+  {
+    sources = lanes * (n - 2);
+    secure_normal = count sn;
+    downgraded = count (fun v -> sn v land lnot (sa v));
+    wasted = count (fun v -> sn v land sa v land hb v);
+    protecting = count (fun v -> sn v land sa v land lnot (hb v));
+    benefit = count (fun v -> insecure v land hd v land lnot (hb v));
+    damage = count (fun v -> insecure v land hb v land lnot (hd v));
+    happy_base = count hb;
+    happy_dep = count hd;
+    exempt = count (fun v -> sn v land th v);
+    exempt_lost = count (fun v -> sn v land th v land lnot (sa v));
+  }
+
+let same_lp (a : Routing.Policy.t) (b : Routing.Policy.t) =
+  match (a.lp, b.lp) with
+  | Standard, Standard -> true
+  | Lp_k i, Lp_k j -> i = j
+  | _ -> false
+
+(* [H_metric.batch_plan] lists the words of a destination
+   consecutively; gather them so its normal states are solved once. *)
+let by_destination plan =
+  Array.fold_right
+    (fun (dst, attackers, _) acc ->
+      match acc with
+      | (d, words) :: rest when Int.equal d dst ->
+          (d, attackers :: words) :: rest
+      | _ -> (dst, [ attackers ]) :: acc)
+    plan []
+  |> Array.of_list
+
+let sum ?pool g policies dep pairs =
   let n = Topology.Graph.n g in
-  let normal = Routing.Engine.compute g policy dep ~dst ~attacker:None in
-  let attack =
-    Routing.Engine.compute g policy dep ~dst ~attacker:(Some attacker)
+  let policies = Array.of_list policies in
+  let empty = Deployment.empty n in
+  let per_dst (dst, words) =
+    (* Toward an unsigned origin no route is secure, so neither model
+       nor deployment changes a state (as the metric cache keys it): the
+       attack with S is the one with S = {}, and no normal route counts. *)
+    let signs = Deployment.signs_origin dep dst in
+    let normals =
+      Array.map
+        (fun p ->
+          if signs then Some (Routing.Engine.compute g p dep ~dst ~attacker:None)
+          else None)
+        policies
+    in
+    let acc = Array.make (Array.length policies) zero in
+    let s = scratch n and ws = Routing.Batch.Workspace.local () in
+    List.iter
+      (fun attackers ->
+        let lanes = Array.length attackers in
+        Array.fill s.own 0 n 0;
+        Array.iteri (fun l m -> s.own.(m) <- s.own.(m) lor (1 lsl l)) attackers;
+        let solve policy dep =
+          Routing.Batch.compute ~ws g policy dep ~dst ~attackers
+        in
+        Array.iteri
+          (fun i policy ->
+            (* No security model tells the S = {} states apart: consecutive
+               policies of one local-preference variant share the word. *)
+            if i = 0 || not (same_lp policies.(i - 1) policy) then
+              fill_lanes (solve policy empty) ~n ~secure:s.sec ~happy:s.base;
+            (match normals.(i) with
+            | Some normal ->
+                mark_through s normal ~n;
+                fill_lanes (solve policy dep) ~n ~secure:s.sec ~happy:s.hap
+            | None -> Array.blit s.base 0 s.hap 0 n);
+            acc.(i) <- add acc.(i) (classify s dep normals.(i) ~n ~dst ~lanes))
+          policies)
+      words;
+    acc
   in
-  let base =
-    Routing.Engine.compute g policy (Deployment.empty n) ~dst
-      ~attacker:(Some attacker)
+  let totals =
+    Parallel.map ?pool ~domains:1 ~chunk:1 per_dst
+      (by_destination (H_metric.batch_plan pairs))
   in
-  let acc = ref root_cause_zero in
-  for v = 0 to n - 1 do
-    if is_source ~attacker ~dst v then begin
-      let a = !acc in
-      let secure_n = Routing.Outcome.secure normal v in
-      let secure_a = Routing.Outcome.secure attack v in
-      let happy_base = Routing.Outcome.happy_lb base v in
-      let unhappy_base = not happy_base in
-      let happy_dep = Routing.Outcome.happy_lb attack v in
-      let unhappy_dep = not happy_dep in
-      let insecure = not (Deployment.is_full dep v) in
-      let b x = if x then 1 else 0 in
-      acc :=
-        {
-          sources = a.sources + 1;
-          rc_secure_normal = a.rc_secure_normal + b secure_n;
-          rc_downgraded = a.rc_downgraded + b (secure_n && not secure_a);
-          rc_wasted = a.rc_wasted + b (secure_n && secure_a && happy_base);
-          rc_protecting =
-            a.rc_protecting + b (secure_n && secure_a && not happy_base);
-          rc_benefit = a.rc_benefit + b (insecure && unhappy_base && happy_dep);
-          rc_damage = a.rc_damage + b (insecure && happy_base && unhappy_dep);
-          rc_happy_base = a.rc_happy_base + b happy_base;
-          rc_happy_dep = a.rc_happy_dep + b happy_dep;
-        }
-    end
-  done;
-  !acc
-
-type collateral = { benefit : int; damage : int; insecure_sources : int }
-
-let collateral g policy ~baseline ~deployment ~attacker ~dst =
-  if not (Deployment.subset baseline deployment) then
-    invalid_arg "Phenomena.collateral: baseline not a subset of deployment";
-  let small =
-    Routing.Engine.compute g policy baseline ~dst ~attacker:(Some attacker)
-  in
-  let large =
-    Routing.Engine.compute g policy deployment ~dst ~attacker:(Some attacker)
-  in
-  let acc = ref { benefit = 0; damage = 0; insecure_sources = 0 } in
-  for v = 0 to Topology.Graph.n g - 1 do
-    if is_source ~attacker ~dst v && not (Deployment.is_full deployment v) then begin
-      let a = !acc in
-      let happy_small = Routing.Outcome.happy_lb small v in
-      let unhappy_small = not happy_small in
-      let happy_large = Routing.Outcome.happy_lb large v in
-      let unhappy_large = not happy_large in
-      acc :=
-        {
-          insecure_sources = a.insecure_sources + 1;
-          benefit = (a.benefit + if unhappy_small && happy_large then 1 else 0);
-          damage = (a.damage + if happy_small && unhappy_large then 1 else 0);
-        }
-    end
-  done;
-  !acc
+  List.init (Array.length policies) (fun i ->
+      Array.fold_left (fun t per -> add t per.(i)) zero totals)

@@ -1,72 +1,58 @@
 (** Protocol downgrades, collateral benefits and damages, and the
     root-cause decomposition of Section 6 / Figure 16.
 
-    All happiness here uses the pessimistic (lower-bound) tiebreak
-    semantics of Section 4.1: an AS facing equally-good legitimate and
-    bogus routes counts as unhappy.  This matches the paper's Section 6
-    examples (e.g. Figure 15's collateral benefit arises from a tiebreak)
-    and its "lower bound on collateral benefits" framing. *)
+    Each count classifies the sources [v] of (attacker [m], destination
+    [d]) pairs by three routing states: normal conditions with the
+    deployment [S], the attack with [S], and the attack with [S = {}].
+    Happiness is the pessimistic (lower-bound) tiebreak of Section 4.1:
+    an AS facing equally-good legitimate and bogus routes is unhappy.
+    This matches the paper's Section 6 examples (Figure 15's collateral
+    benefit arises from a tiebreak) and its "lower bound on collateral
+    benefits" framing.
 
-type downgrade = {
-  secure_normal : int;  (** sources with a secure route under normal conditions *)
-  downgraded : int;     (** of those, how many lose route security under attack *)
-  secure_after : int;   (** of those, how many keep a secure route under attack *)
-  sources : int;
+    {b Two downgrade counts.}  Figure 16 counts every secure normal
+    route lost under attack ([downgraded]).  Table 3 exempts the
+    sources whose representative normal route already runs through [m]
+    (Theorem 3.1: the attacker attracts their traffic without
+    attacking), so its count is [downgraded - exempt_lost].  The two
+    differ even under security 1st: a secure normal route through [m]
+    is lost once [m] announces only its bogus route. *)
+
+type t = {
+  sources : int;  (** (pair, source) instances: [n - 2] per pair *)
+  secure_normal : int;  (** secure routes under normal conditions *)
+  downgraded : int;  (** of those, insecure under attack *)
+  wasted : int;  (** of those, secure under attack, happy with [S = {}] *)
+  protecting : int;
+      (** of those, secure under attack, unhappy with [S = {}]: the only
+          secure routes that can raise the metric *)
+  benefit : int;
+      (** collateral benefits: sources outside [S] (not
+          [Deployment.is_full]) unhappy with [S = {}], happy with [S] *)
+  damage : int;
+      (** collateral damages: sources outside [S] happy with [S = {}],
+          unhappy with [S] *)
+  happy_base : int;  (** happy under attack, [S = {}] *)
+  happy_dep : int;  (** happy under attack, [S] *)
+  exempt : int;
+      (** secure normal routes whose representative path runs through [m] *)
+  exempt_lost : int;  (** of those, insecure under attack *)
 }
 
-val downgrades :
+val sum :
+  ?pool:Parallel.Pool.t ->
   Topology.Graph.t ->
-  Routing.Policy.t ->
+  Routing.Policy.t list ->
   Deployment.t ->
-  attacker:int ->
-  dst:int ->
-  downgrade
-(** Compare the normal-conditions run with the attack run (Appendix F.1).
-    Sources whose normal (representative) route already passes through the
-    attacker are excluded from [secure_normal] — Theorem 3.1 exempts them,
-    since the attacker attracts their traffic without attacking. *)
-
-type root_cause = {
-  sources : int;
-  rc_secure_normal : int;   (** secure routes under normal conditions *)
-  rc_downgraded : int;      (** secure routes lost to protocol downgrades *)
-  rc_wasted : int;          (** secure routes kept by sources that were
-                                happy already with S = {} *)
-  rc_protecting : int;      (** secure routes kept by sources unhappy with
-                                S = {} — the only class of secure routes
-                                that can raise the metric *)
-  rc_benefit : int;         (** insecure sources: unhappy with S = {},
-                                happy with S *)
-  rc_damage : int;          (** insecure sources: happy with S = {},
-                                unhappy with S *)
-  rc_happy_base : int;      (** happy sources, S = {} *)
-  rc_happy_dep : int;       (** happy sources, deployment S *)
-}
-
-val root_cause :
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  Deployment.t ->
-  attacker:int ->
-  dst:int ->
-  root_cause
-(** Requires three runs: normal conditions with S, attack with S, attack
-    with S = {}. *)
-
-val root_cause_zero : root_cause
-val root_cause_add : root_cause -> root_cause -> root_cause
-
-type collateral = { benefit : int; damage : int; insecure_sources : int }
-
-val collateral :
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  baseline:Deployment.t ->
-  deployment:Deployment.t ->
-  attacker:int ->
-  dst:int ->
-  collateral
-(** Collateral effects on sources that are insecure in [deployment],
-    comparing against the smaller [baseline] deployment (Section 6.1
-    considers [baseline = empty]).  Raises [Invalid_argument] unless
-    [baseline] is a subset of [deployment]. *)
+  H_metric.pair array ->
+  t list
+(** [sum g policies dep pairs] is, for each policy in order, the
+    classification summed over every pair and source.  The pairs of a
+    destination share one attacker-free {!Routing.Engine} solve per
+    policy, and their attacked states come from the {!Routing.Batch}
+    words of {!H_metric.batch_plan}: one word per policy for [S], and
+    one for [S = {}], which no security model can tell apart, shared by
+    consecutive policies of one local-preference variant.  [pool] fans
+    the destinations out; the counts are integer sums, the same
+    whatever the parallelism.  Raises [Invalid_argument] when a pair's
+    attacker is its destination. *)

@@ -11,6 +11,11 @@ let ctx =
 let ixp_ctx =
   lazy (Experiments.Context.make ~n:1200 ~seed:3 ~ixp:true ~scale:0.1 ())
 
+(* [ctx] on a one-domain pool: the experiments that fan out over the
+   pool must print the same bytes whatever its width. *)
+let ctx_1 =
+  lazy (Experiments.Context.make ~n:1200 ~seed:3 ~scale:0.15 ~domains:1 ())
+
 let test_context_basics () =
   let c = Lazy.force ctx in
   Alcotest.(check int) "all ASes listed" 1200
@@ -168,13 +173,15 @@ let experiment_case ~digests ctx entry =
    (`sbgp run --ixp baseline partitions partitions-tier lpk`). *)
 let app_j_ids = [ "baseline"; "partitions"; "partitions-tier"; "lpk" ]
 
-let app_j_entries =
+let registry_entries ids =
   List.map
     (fun id ->
       match Experiments.Registry.find id with
       | Some e -> e
-      | None -> failwith ("App. J experiment missing from registry: " ^ id))
-    app_j_ids
+      | None -> failwith ("experiment missing from registry: " ^ id))
+    ids
+
+let app_j_entries = registry_entries app_j_ids
 
 (* The baseline experiment's headline number must be in the paper's
    ballpark on the synthetic graph. *)
@@ -241,4 +248,8 @@ let () =
           Experiments.Registry.all );
       ( "App. J on the IXP graph",
         List.map (experiment_case ~digests:ixp_digests ixp_ctx) app_j_entries );
+      ( "one domain",
+        List.map
+          (experiment_case ~digests:base_digests ctx_1)
+          (registry_entries [ "phenomena"; "root-cause" ]) );
     ]

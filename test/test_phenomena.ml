@@ -8,21 +8,51 @@ let sec1 = Policy.make Policy.Security_first
 let sec2 = Policy.make Policy.Security_second
 let sec3 = Policy.make Policy.Security_third
 
+(* [Phenomena.sum] of a single pair under each given policy. *)
+let classify g policies dep ~attacker ~dst =
+  Phenomena.sum g policies dep [| { Metric.attacker; dst } |]
+
+let one g policy dep ~attacker ~dst =
+  List.hd (classify g [ policy ] dep ~attacker ~dst)
+
+(* Table 3's count: downgrades not exempted by Theorem 3.1. *)
+let table3_downgrades (t : Phenomena.t) = t.downgraded - t.exempt_lost
+
 (* Figure 2 downgrade quantified. *)
 let test_downgrade_fig2 () =
   let g =
     graph 6 [ c2p 1 0; p2p 1 2; p2p 2 0; c2p 3 2; c2p 4 3; c2p 5 0 ]
   in
   let dep = Deployment.make ~n:6 ~full:[| 0; 1; 5 |] () in
-  let dg2 = Phenomena.downgrades g sec2 dep ~attacker:4 ~dst:0 in
-  (* Under normal conditions ASes 1 and 5 have secure routes. *)
-  Alcotest.(check int) "secure normal" 2 dg2.Phenomena.secure_normal;
+  let dg2 = one g sec2 dep ~attacker:4 ~dst:0 in
+  (* Under normal conditions ASes 1 and 5 have secure routes, neither
+     through the attacker. *)
+  Alcotest.(check int) "secure normal" 2 dg2.secure_normal;
+  Alcotest.(check int) "none exempt" 0 dg2.exempt;
   (* Under attack, AS 1 downgrades (peer LP beats secure provider); the
      stub 5 keeps its secure route. *)
-  Alcotest.(check int) "downgraded (sec2)" 1 dg2.Phenomena.downgraded;
-  Alcotest.(check int) "secure after (sec2)" 1 dg2.Phenomena.secure_after;
-  let dg1 = Phenomena.downgrades g sec1 dep ~attacker:4 ~dst:0 in
-  Alcotest.(check int) "downgraded (sec1)" 0 dg1.Phenomena.downgraded
+  Alcotest.(check int) "downgraded (sec2)" 1 (table3_downgrades dg2);
+  Alcotest.(check int) "secure after (sec2)" 1
+    (dg2.wasted + dg2.protecting);
+  let dg1 = one g sec1 dep ~attacker:4 ~dst:0 in
+  Alcotest.(check int) "downgraded (sec1)" 0 (table3_downgrades dg1)
+
+(* The two downgrade counts differ.  d = 0, m = 1 provider of d, s = 2
+   customer of m, all secure: s's secure normal route runs through m,
+   and under attack m announces only the bogus "m d", so s holds an
+   insecure route.  Figure 16 counts that as a downgrade even under
+   security 1st; Table 3 exempts it (Theorem 3.1). *)
+let test_exempt_downgrade () =
+  let g = graph 3 [ c2p 0 1; c2p 2 1 ] in
+  let dep = Deployment.make ~n:3 ~full:[| 0; 1; 2 |] () in
+  List.iter
+    (fun (t : Phenomena.t) ->
+      Alcotest.(check int) "secure normal" 1 t.secure_normal;
+      Alcotest.(check int) "exempt" 1 t.exempt;
+      Alcotest.(check int) "Figure 16 downgrade" 1 t.downgraded;
+      Alcotest.(check int) "exempt and lost" 1 t.exempt_lost;
+      Alcotest.(check int) "Table 3 downgrade" 0 (table3_downgrades t))
+    (classify g [ sec1; sec2; sec3 ] dep ~attacker:1 ~dst:0)
 
 (* Collateral damage in the security 2nd model (the Figure 14 mechanism):
    a secure provider chooses a longer secure route, pushing its insecure
@@ -71,7 +101,14 @@ let test_collateral_damage_sec2 () =
   let base3 = Engine.compute g sec3 empty ~dst:0 ~attacker:(Some 7) in
   let dep3 = Engine.compute g sec3 s ~dst:0 ~attacker:(Some 7) in
   Alcotest.(check bool) "sec3: v keeps its option" true
-    (Outcome.to_d base3 5 && Outcome.to_d dep3 5)
+    (Outcome.to_d base3 5 && Outcome.to_d dep3 5);
+  (* v's baseline is a tie, so under the pessimistic tiebreak it was
+     unhappy already: the classification counts no damage here. *)
+  match classify g [ sec2; sec3 ] s ~attacker:7 ~dst:0 with
+  | [ c2; c3 ] ->
+      Alcotest.(check int) "sec2: no strict damage" 0 c2.damage;
+      Alcotest.(check int) "sec3: no damage" 0 c3.damage
+  | _ -> Alcotest.fail "one total per policy"
 
 (* Collateral benefit in the security 3rd model (Figure 15): a tie at a
    transit AS is broken toward the secure legitimate route, rescuing its
@@ -88,19 +125,15 @@ let test_collateral_benefit_sec3 () =
         c2p 4 1 (* c customer of t *);
       ]
   in
-  let empty = Deployment.empty 5 in
   let s = Deployment.make ~n:5 ~full:[| 0; 1; 2 |] () in
-  let col =
-    Phenomena.collateral g sec3 ~baseline:empty ~deployment:s ~attacker:3
-      ~dst:0
-  in
+  let col = one g sec3 s ~attacker:3 ~dst:0 in
   (* Insecure sources: y?  y is secure... insecure sources are m's
      customers... sources not in S: 4 (c) and 3 is the attacker.  c
      benefits: baseline t ties between (y,d) and (m,d) peer routes ->
      pessimistically unhappy; with S the (y,d) route is secure and wins
      the SecP tiebreak. *)
-  Alcotest.(check int) "one collateral benefit" 1 col.Phenomena.benefit;
-  Alcotest.(check int) "no collateral damage" 0 col.Phenomena.damage
+  Alcotest.(check int) "one collateral benefit" 1 col.benefit;
+  Alcotest.(check int) "no collateral damage" 0 col.damage
 
 (* Figure 17: collateral damage under security 1st via export policy — a
    secure AS switches to a provider route and may no longer export to its
@@ -137,7 +170,148 @@ let test_collateral_damage_sec1_export () =
   Alcotest.(check string) "opt's class is provider" "provider"
     (Policy.class_name (Outcome.route_class dep 1));
   Alcotest.(check bool) "orange collaterally damaged" true
-    (Outcome.to_m dep 2 && not (Outcome.to_d dep 2))
+    (Outcome.to_m dep 2 && not (Outcome.to_d dep 2));
+  let col = one g sec1 s ~attacker:4 ~dst:0 in
+  Alcotest.(check bool) "classified as collateral damage" true
+    (col.damage >= 1)
+
+(* The per-pair definitions [Phenomena.sum] replaced, kept as its
+   oracle: three fresh [Engine] solves per pair (normal with S, attack
+   with S, attack with S = {}) and one scalar pass over the sources,
+   Theorem 3.1's exemption read off the representative normal path as a
+   list. *)
+let through_attacker normal ~attacker v =
+  Outcome.reached normal v && List.mem attacker (Outcome.path normal v)
+
+let zero : Phenomena.t =
+  {
+    sources = 0;
+    secure_normal = 0;
+    downgraded = 0;
+    wasted = 0;
+    protecting = 0;
+    benefit = 0;
+    damage = 0;
+    happy_base = 0;
+    happy_dep = 0;
+    exempt = 0;
+    exempt_lost = 0;
+  }
+
+let per_pair g policy dep ~attacker ~dst : Phenomena.t =
+  let n = Graph.n g in
+  let normal = Engine.compute g policy dep ~dst ~attacker:None in
+  let attack = Engine.compute g policy dep ~dst ~attacker:(Some attacker) in
+  let base =
+    Engine.compute g policy (Deployment.empty n) ~dst ~attacker:(Some attacker)
+  in
+  let t = ref zero in
+  let b x = if x then 1 else 0 in
+  for v = 0 to n - 1 do
+    if v <> attacker && v <> dst then begin
+      let a = !t in
+      let sn = Outcome.secure normal v and sa = Outcome.secure attack v in
+      let hb = Outcome.happy_lb base v and hd = Outcome.happy_lb attack v in
+      let insecure = not (Deployment.is_full dep v) in
+      let th = sn && through_attacker normal ~attacker v in
+      t :=
+        {
+          sources = a.sources + 1;
+          secure_normal = a.secure_normal + b sn;
+          downgraded = a.downgraded + b (sn && not sa);
+          wasted = a.wasted + b (sn && sa && hb);
+          protecting = a.protecting + b (sn && sa && not hb);
+          benefit = a.benefit + b (insecure && (not hb) && hd);
+          damage = a.damage + b (insecure && hb && not hd);
+          happy_base = a.happy_base + b hb;
+          happy_dep = a.happy_dep + b hd;
+          exempt = a.exempt + b th;
+          exempt_lost = a.exempt_lost + b (th && not sa);
+        }
+    end
+  done;
+  !t
+
+let oracle g policies dep pairs =
+  List.map
+    (fun policy ->
+      Array.fold_left
+        (fun (acc : Phenomena.t) { Metric.attacker; dst } ->
+          let p = per_pair g policy dep ~attacker ~dst in
+          {
+            sources = acc.sources + p.sources;
+            secure_normal = acc.secure_normal + p.secure_normal;
+            downgraded = acc.downgraded + p.downgraded;
+            wasted = acc.wasted + p.wasted;
+            protecting = acc.protecting + p.protecting;
+            benefit = acc.benefit + p.benefit;
+            damage = acc.damage + p.damage;
+            happy_base = acc.happy_base + p.happy_base;
+            happy_dep = acc.happy_dep + p.happy_dep;
+            exempt = acc.exempt + p.exempt;
+            exempt_lost = acc.exempt_lost + p.exempt_lost;
+          })
+        zero pairs)
+    policies
+
+(* Random attackers for one destination: [k] distinct ASes other than
+   [dst]. *)
+let attackers_of rng ~n ~dst k =
+  Array.map
+    (fun m -> if m >= dst then m + 1 else m)
+    (Rng.sample_without_replacement rng k (n - 1))
+
+(* Theorem 3.1's exemption is marked once per word over the normal
+   state's next hops; it must count exactly the sources whose path, as
+   a list, contains the attacker. *)
+let test_exempt_matches_path =
+  qtest "Theorem 3.1 exemption = attacker on the normal path" ~count:200
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:30 in
+      let n = Graph.n g in
+      let dst = Rng.int rng n in
+      let attackers = attackers_of rng ~n ~dst (1 + Rng.int rng (n - 1)) in
+      let pairs = Array.map (fun m -> { Metric.attacker = m; dst }) attackers in
+      let dep = random_deployment rng n in
+      let policy = random_policy rng in
+      List.for_all2
+        (fun (got : Phenomena.t) (want : Phenomena.t) ->
+          got.exempt = want.exempt && got.exempt_lost = want.exempt_lost)
+        (Phenomena.sum g [ policy ] dep pairs)
+        (oracle g [ policy ] dep pairs))
+
+(* The whole classification against the per-pair oracle, for the three
+   models at once (each with its own local-preference variant, so the
+   S = {} word is shared only where the variants agree): one destination
+   with every other AS as attacker — a full 63-lane word (lane 62 is the
+   sign bit of the masks) plus a second word — and a few pairs toward
+   other destinations. *)
+let test_sum_matches_oracle =
+  qtest "sum = per-pair three-Engine classification (63-lane words)"
+    ~count:60 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph ~min_n:70 rng ~max_n:100 in
+      let n = Graph.n g in
+      let dst = Rng.int rng n in
+      let full = attackers_of rng ~n ~dst (n - 1) in
+      let others =
+        Array.init 6 (fun _ ->
+            let d = Rng.int rng n in
+            { Metric.attacker = (attackers_of rng ~n ~dst:d 1).(0); dst = d })
+      in
+      let pairs =
+        Array.append
+          (Array.map (fun m -> { Metric.attacker = m; dst }) full)
+          others
+      in
+      let dep = random_deployment rng n in
+      let policies =
+        List.map
+          (fun model -> Policy.make ~lp:(random_policy rng).Policy.lp model)
+          [ Policy.Security_first; Policy.Security_second; Policy.Security_third ]
+      in
+      Phenomena.sum g policies dep pairs = oracle g policies dep pairs)
 
 (* Root-cause accounting identities on random instances. *)
 let test_root_cause_identities =
@@ -151,15 +325,17 @@ let test_root_cause_identities =
       let dst = Rng.int rng n and m = Rng.int rng n in
       if m = dst then true
       else begin
-        let rc = Phenomena.root_cause g policy dep ~attacker:m ~dst in
+        let rc = one g policy dep ~attacker:m ~dst in
         (* Secure routes under normal conditions split into downgraded /
-           wasted / protecting. *)
-        rc.Phenomena.rc_downgraded + rc.Phenomena.rc_wasted
-        + rc.Phenomena.rc_protecting
-        = rc.Phenomena.rc_secure_normal
-        && rc.Phenomena.sources = n - 2
-        && rc.Phenomena.rc_happy_dep >= 0
-        && rc.Phenomena.rc_benefit <= rc.Phenomena.sources
+           wasted / protecting; the exempt ones are some of them. *)
+        rc.downgraded + rc.wasted + rc.protecting = rc.secure_normal
+        && rc.sources = n - 2
+        && rc.exempt <= rc.secure_normal
+        && rc.exempt_lost <= rc.exempt
+        && rc.exempt_lost <= rc.downgraded
+        && rc.benefit <= rc.sources
+        && rc.happy_base <= rc.sources
+        && rc.happy_dep <= rc.sources
       end)
 
 (* No collateral damage in the security 3rd model (Theorem 6.1), measured
@@ -174,22 +350,8 @@ let test_no_damage_sec3 =
       if m = dst then true
       else begin
         let dep = random_deployment rng n in
-        let col =
-          Phenomena.collateral g sec3 ~baseline:(Deployment.empty n)
-            ~deployment:dep ~attacker:m ~dst
-        in
-        col.Phenomena.damage = 0
+        (one g sec3 dep ~attacker:m ~dst).damage = 0
       end)
-
-let test_collateral_requires_subset () =
-  let g = graph 2 [ c2p 1 0 ] in
-  Alcotest.check_raises "subset required"
-    (Invalid_argument "Phenomena.collateral: baseline not a subset of deployment")
-    (fun () ->
-      ignore
-        (Phenomena.collateral g sec3
-           ~baseline:(Deployment.make ~n:2 ~full:[| 1 |] ())
-           ~deployment:(Deployment.empty 2) ~attacker:1 ~dst:0))
 
 let () =
   Alcotest.run "phenomena"
@@ -197,15 +359,20 @@ let () =
       ( "hand examples",
         [
           Alcotest.test_case "figure 2 downgrades" `Quick test_downgrade_fig2;
+          Alcotest.test_case "Theorem 3.1 exempts a route through m" `Quick
+            test_exempt_downgrade;
           Alcotest.test_case "collateral damage (sec2)" `Quick
             test_collateral_damage_sec2;
           Alcotest.test_case "collateral benefit (sec3)" `Quick
             test_collateral_benefit_sec3;
           Alcotest.test_case "collateral damage via Ex (sec1)" `Quick
             test_collateral_damage_sec1_export;
-          Alcotest.test_case "collateral requires subset" `Quick
-            test_collateral_requires_subset;
         ] );
       ( "properties",
-        [ test_root_cause_identities; test_no_damage_sec3 ] );
+        [
+          test_root_cause_identities;
+          test_no_damage_sec3;
+          test_exempt_matches_path;
+          test_sum_matches_oracle;
+        ] );
     ]
