@@ -317,7 +317,10 @@ let check_cmd =
                destination-major batched kernel are replayed against the \
                reference kernel and must be bit-identical (the batched \
                sub-pass decodes every lane of sampled attacker words and \
-               pinpoints the first divergent destination/word/bit).";
+               pinpoints the first divergent destination/word/bit), and \
+               the whole-word partition counts must equal the per-pair \
+               partition oracle under security 1st, 2nd, 2nd with LP-2 \
+               and 3rd.";
             pass (Checks Optimize) "optimize"
               "Run only the optimize pass: the CELF lazy greedy of the \
                Max-k optimizer is replayed against the naive full-re-eval \
@@ -334,7 +337,8 @@ let check_cmd =
             pass (Checks Alloc) "alloc"
               "Run only the allocation gate: minor words per (destination, \
                attacker) pair of the scalar, batched and reference kernels \
-               with reused workspaces, measured against recorded budgets; \
+               and per lane of a lane-mask closure word, with reused \
+               workspaces, measured against recorded budgets; \
                every measured loop is identity-gated and a cold-vs-warm \
                probe of the metric cache demands bit-identical H.  Runs \
                single-domain — the dynamic complement of the static \

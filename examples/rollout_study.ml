@@ -1,7 +1,7 @@
 (* A deployment study an operator could run: compare candidate S*BGP
    rollouts on a topology (synthetic here; load your own CAIDA-style
-   file with Serial.load) and decide whether the juice is worth the
-   squeeze.
+   file with Serial.load_remapped, the CLI's loader) and decide
+   whether the juice is worth the squeeze.
 
    Run with:  dune exec examples/rollout_study.exe *)
 

@@ -122,7 +122,8 @@ let default ?(allow = Allowlist.empty) ?(budget = Budget.empty) () =
         "Routing.Reference.Workspace.t" ];
     hot_entries =
       [ "Routing.Engine.compute"; "Routing.Batch.compute";
-        "Routing.Reach.compute"; "Routing.Staged.*"; "Topology.Graph.Csr.*" ];
+        "Routing.Reach.compute"; "Routing.Reach.Lanes.compute"; "Routing.Staged.*";
+        "Topology.Graph.Csr.*" ];
     cache_api =
       [ "Metric.H_metric.Cache.find"; "Metric.H_metric.Cache.store";
         "Metric.H_metric.Cache.carry" ];

@@ -59,3 +59,31 @@ val simulate :
     the hijacks into no-ops.  An unfiltered subprefix hijack bypasses
     route selection entirely: a source stays happy only if it has no
     perceivable route to the attacker at all. *)
+
+val simulate_pairs :
+  ?pool:Parallel.Pool.t ->
+  ?origin_auth:bool ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  Deployment.t ->
+  Metric.H_metric.pair array ->
+  strategy ->
+  result array
+(** {!simulate} of every pair, in pair order, bit-identical, for the two
+    attacks that bypass route selection; the ones that enter it are
+    attacked states ({!Metric.H_metric.pair_endpoints} with the claim as
+    [attacker_claim]).
+
+    - A filtered announcement ([origin_auth] and the strategy fails
+      origin validation) leaves the normal state toward the pair's
+      destination.  Under security 3rd, [S = {}] and the standard LP
+      that state reaches exactly the ASes with a perceivable route to
+      the destination, counted by one closure lane per destination
+      ({!Metric.Partition.reach_counts}); under any other policy or
+      deployment one attacker-free solve per destination counts it.
+    - The unfiltered subprefix hijack counts the security-1st immune
+      sources ({!Metric.Partition.counts}), whatever the policy.
+
+    Raises [Invalid_argument] for an unfiltered prefix hijack or
+    fabricated path, for a fabricated path shorter than 1, and for a
+    pair whose ids are out of range or equal. *)

@@ -4,10 +4,10 @@
    allocation *sites*; this pass measures what the compiled code
    actually does, which covers the analyzer's stated blind spots —
    inlining, [@inline] hints, unboxing, Simplif's reference elimination
-   (DESIGN.md §16).  Three kernels are replayed single-domain over a
-   deterministic pair sample with reused workspaces, and the observed
-   [Gc.minor_words] per pair is compared against the recorded
-   [default_budgets].
+   (DESIGN.md §16).  Three kernels and the lane-mask closure are
+   replayed single-domain over a deterministic pair sample with reused
+   workspaces, and the observed [Gc.minor_words] per pair (per lane for
+   the closure) is compared against the recorded [default_budgets].
 
    Every measurement is identity-gated: the outcome produced inside the
    measured loop must be bit-identical to a fresh-buffer computation of
@@ -32,7 +32,12 @@ module B = Routing.Batch
 module R = Routing.Reference
 module M = Metric.H_metric
 
-type budgets = { scalar : float; batch : float; reference : float }
+type budgets = {
+  scalar : float;
+  batch : float;
+  reference : float;
+  closure : float;
+}
 
 (* Minor words per (destination, attacker) pair with a reused
    workspace; [reference] is per pair per AS — the list-based reference
@@ -41,8 +46,12 @@ type budgets = { scalar : float; batch : float; reference : float }
    headroom is ~2x the measured steady state (scalar 210 at n=200,
    growing ~+48 per doubling of n; batch 4.0 flat; see EXPERIMENTS.md
    PR-10) so noise does not flake the gate while a per-pair box or
-   closure regression still trips it. *)
-let default_budgets = { scalar = 512.0; batch = 8.0; reference = 44.0 }
+   closure regression still trips it.  [closure] is per lane of a full
+   lane-mask closure word ({!Routing.Reach.Lanes}) on a warm workspace:
+   the passes allocate nothing, so it measures 0 at any n; a budget of
+   1 word per lane still catches a single box per AS or per edge. *)
+let default_budgets =
+  { scalar = 512.0; batch = 8.0; reference = 44.0; closure = 1.0 }
 
 let dep_mixed n =
   Deployment.of_modes
@@ -143,6 +152,47 @@ let analyze ?(pairs = 24) ?tamper ?taint ~seed g policies =
      match Kernel.mismatch ~want ~got () with
      | None -> ()
      | Some detail -> add (identity_diag ~kernel:"batch" detail));
+
+    (* --- lane-mask closures ----------------------------------------- *)
+    let module L = Routing.Reach.Lanes in
+    (* A full word: the sample's pairs, cycled through the 63 lanes. *)
+    let clanes = B.max_lanes in
+    let roots = Array.init clanes (fun l -> fst sample.(l mod k)) in
+    let avoid =
+      Array.init clanes (fun l ->
+          match snd sample.(l mod k) with Some m -> m | None -> -1)
+    in
+    let lws = L.create 0 in
+    let run_closure () = L.compute lws g ~lanes:clanes ~roots ~avoid in
+    run_closure ();
+    let creps = max 1 (k / 4) in
+    let cdelta = measure (fun () -> for _ = 1 to creps do run_closure () done) in
+    items := !items + (creps * clanes);
+    let cwpl = cdelta /. float_of_int (creps * clanes) in
+    if cwpl > default_budgets.closure then
+      add
+        (over ~unit:"minor words/lane" ~kernel:"lane-mask closure" ~wpp:cwpl
+           ~budget:default_budgets.closure ());
+    (let want = Routing.Reach.compute g ~root:roots.(0) ~avoid:avoid.(0) () in
+     let bit m = m land 1 = 1 in
+     let bad = ref None in
+     for v = n - 1 downto 0 do
+       if
+         bit (L.customer lws v) <> Routing.Reach.customer want v
+         || bit (L.peer lws v) <> Routing.Reach.peer want v
+         || bit (L.provider lws v) <> Routing.Reach.provider want v
+       then bad := Some v
+     done;
+     incr items;
+     match !bad with
+     | None -> ()
+     | Some v ->
+         add
+           (identity_diag ~kernel:"lane-mask closure"
+              (Printf.sprintf
+                 "lane 0 (root %d, avoiding %d) differs from the scalar \
+                  closure at AS %d"
+                 roots.(0) avoid.(0) v)));
 
     (* --- reference kernel ------------------------------------------- *)
     let rws = R.Workspace.create 0 in

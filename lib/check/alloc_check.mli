@@ -1,7 +1,9 @@
 (** Runtime allocation gate (`sbgp check --alloc`).
 
     Measures [Gc.minor_words] per (destination, attacker) pair for the
-    scalar, batched and reference kernels with reused workspaces, and
+    scalar, batched and reference kernels, and per lane for a full word
+    of lane-mask closures ({!Routing.Reach.Lanes}), with reused
+    workspaces, and
     compares against recorded budgets; every measured loop is
     identity-gated against fresh-buffer computation, and a cold-vs-warm
     probe of the shared metric cache demands bit-identical [H].  This is

@@ -167,11 +167,26 @@ let kernel_pass options g =
     Kernel.analyze ~attacker_claim:options.attacker_claim g options.policies
       (dep_mixed n) pairs
   in
+  let batches = sample_batches rng n in
   let bitems, bdiags =
     Kernel.analyze_batch ~attacker_claim:options.attacker_claim g
-      options.policies (dep_mixed n) (sample_batches rng n)
+      options.policies (dep_mixed n) batches
   in
-  (items + bitems, diags @ bdiags)
+  (* The partition sample: the attacked pairs, then every lane of the
+     batches — a full word of one destination after pairs that mix
+     destinations, with repeats. *)
+  let pair dst m = { Metric.H_metric.attacker = m; dst } in
+  let ppairs =
+    Array.of_list
+      (List.filter_map
+         (fun (dst, attacker) -> Option.map (pair dst) attacker)
+         (Array.to_list pairs)
+      @ List.concat_map
+          (fun (dst, attackers) -> List.map (pair dst) (Array.to_list attackers))
+          (Array.to_list batches))
+  in
+  let pitems, pdiags = Kernel.analyze_partitions g ppairs in
+  (items + bitems + pitems, diags @ bdiags @ pdiags)
 
 let run_kernel ?(options = default_options) g =
   let items, diags = kernel_pass options g in

@@ -197,3 +197,55 @@ let analyze_batch ?(attacker_claim = 1) ?tamper g policies dep batches =
         batches)
     policies;
   (!items, !diags)
+
+(* Whole-word partitions against the per-pair oracle: closure lanes for
+   security 1st/2nd, the batched S = {} state for LP-2 security 2nd and
+   security 3rd. *)
+let partition_policies g =
+  let lp2 = P.make ~lp:(P.Lp_k 2) P.Security_second in
+  let acyclic = Result.is_ok (Topology.Graph.hierarchy g) in
+  [ P.make P.Security_first; P.make P.Security_second ]
+  @ (if acyclic then [ lp2 ] else [])
+  @ [ P.make P.Security_third ]
+
+let pp_counts (c : Metric.Partition.counts) =
+  Printf.sprintf "doomed %d / protectable %d / immune %d / unreachable %d"
+    c.doomed c.protectable c.immune c.unreachable
+
+let same_counts (a : Metric.Partition.counts) (b : Metric.Partition.counts) =
+  a.doomed = b.doomed && a.protectable = b.protectable && a.immune = b.immune
+  && a.unreachable = b.unreachable && a.sources = b.sources
+
+let analyze_partitions g pairs =
+  let items = ref 0 in
+  let diags = ref [] in
+  List.iter
+    (fun policy ->
+      let got = Metric.Partition.counts g policy pairs in
+      let bad = ref None in
+      Array.iteri
+        (fun j { Metric.H_metric.attacker; dst } ->
+          incr items;
+          let want = Metric.Partition.count g policy ~attacker ~dst in
+          match !bad with
+          | None when not (same_counts want got.(j)) -> bad := Some (j, want)
+          | Some _ | None -> ())
+        pairs;
+      match !bad with
+      | None -> ()
+      | Some (j, want) ->
+          let { Metric.H_metric.attacker; dst } = pairs.(j) in
+          diags :=
+            !diags
+            @ [
+                D.error ~rule:"kernel/partition-divergence"
+                  ~subjects:[ dst; attacker ]
+                  (Printf.sprintf
+                     "whole-word partition disagrees with the per-pair \
+                      oracle [%s, pair %d of %d: dst %d, attacker %d]: \
+                      counts gives %s, count gives %s"
+                     (P.name policy) j (Array.length pairs) dst attacker
+                     (pp_counts got.(j)) (pp_counts want));
+              ])
+    (partition_policies g);
+  (!items, !diags)

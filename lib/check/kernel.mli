@@ -56,3 +56,12 @@ val analyze_batch :
 
     [tamper ~lane outcome] mutates a decoded lane before comparison —
     the false-negative mutants inject batch-kernel bugs through it. *)
+
+val analyze_partitions :
+  Topology.Graph.t -> Metric.H_metric.pair array -> int * Diagnostic.t list
+(** [analyze_partitions g pairs] holds {!Metric.Partition.counts} to the
+    per-pair oracle {!Metric.Partition.count}, pair for pair, under
+    security 1st, security 2nd, security 2nd with LP-2 (on an acyclic
+    hierarchy only, which LPk requires) and security 3rd.  The first
+    disagreement per policy is a ["kernel/partition-divergence"] error
+    naming the pair and both counts.  [items] counts compared pairs. *)

@@ -3,9 +3,10 @@
     use [Core.Graph], [Core.Engine], etc.; the individual libraries remain
     available for finer-grained dependencies.
 
-    Start with {!Topogen.generate} (or {!Serial.load} for real data), then
+    Start with {!Topogen.generate} (or {!Serial.load_remapped}, the CLI's
+    loader, for real data), then
     {!Engine.compute} for a single routing outcome, {!Metric.h_metric} for
-    the paper's security metric, and {!Partition.count} for the
+    the paper's security metric, and {!Partition.counts} for the
     deployment-invariant bounds. *)
 
 module Bucket_queue = Prelude.Bucket_queue

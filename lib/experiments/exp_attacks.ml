@@ -25,8 +25,8 @@ let strategies =
    so the no-OV and with-OV twins of Part 1, and Part 2's unsigned
    destinations under every model, are solved once.  A filtered
    announcement (normal conditions) and the subprefix hijack (longest-
-   prefix forwarding) are not route-selection states and stay per
-   pair. *)
+   prefix forwarding) are not route-selection states: they come from
+   reachability closures ({!Attacks.simulate_pairs}). *)
 let cached_claim ~origin_auth strategy =
   if origin_auth && not (Attacks.passes_origin_validation strategy) then None
   else
@@ -46,15 +46,12 @@ let avg_happy (ctx : Context.t) policy dep ~origin_auth pairs strategy =
   | None ->
       let lb = ref 0. and ub = ref 0. in
       Array.iter
-        (fun { Metric.H_metric.attacker; dst } ->
-          let flb, fub =
-            Attacks.happy_fraction
-              (Attacks.simulate ~origin_auth ctx.graph policy dep ~attacker
-                 ~dst strategy)
-          in
+        (fun r ->
+          let flb, fub = Attacks.happy_fraction r in
           lb := !lb +. flb;
           ub := !ub +. fub)
-        pairs;
+        (Attacks.simulate_pairs ~pool:(Context.pool ctx) ~origin_auth
+           ctx.graph policy dep pairs strategy);
       let n = float_of_int (Array.length pairs) in
       (!lb /. n, !ub /. n)
 

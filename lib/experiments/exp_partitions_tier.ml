@@ -13,6 +13,17 @@ let tier_list =
   Topology.Tiers.
     [ Stub; Stub_x; Smdg; Small_cp; Cp; T3; T2; T1 ]
 
+(* The tiers with members, each with its pair set.  All sets are
+   classified in one {!Util.partition_fractions_sets} call, so pairs of
+   different tiers share words. *)
+let tier_pairs (ctx : Context.t) pairs_of =
+  List.filter_map
+    (fun tier ->
+      let members = Context.tier_members ctx tier in
+      if Array.length members > 0 then Some (tier, pairs_of tier members)
+      else None)
+    tier_list
+
 let by_destination (ctx : Context.t) policy =
   let attackers =
     Context.sample ctx "ptier-att" ctx.all (Context.scaled ctx 35)
@@ -21,35 +32,37 @@ let by_destination (ctx : Context.t) policy =
     Prelude.Table.create
       ~header:[ "dest tier"; "doomed"; "protectable"; "immune"; "H({}) lb" ]
   in
-  List.iter
-    (fun tier ->
-      let members = Context.tier_members ctx tier in
-      if Array.length members > 0 then begin
+  let rows =
+    tier_pairs ctx (fun tier members ->
         let dsts =
           Context.sample ctx
             ("ptier-dst-" ^ Topology.Tiers.tier_name tier)
             members (Context.scaled ctx 25)
         in
-        let pairs = Metric.H_metric.pairs ~attackers ~dsts () in
-        let pool = Context.pool ctx and cache = Context.cache ctx in
-        let doomed, protectable, immune =
-          Util.partition_fractions ~pool ~cache ctx.graph policy pairs
-        in
-        let baseline =
-          Util.h ~pool ~cache ctx.graph policy
-            (Deployment.empty (Topology.Graph.n ctx.graph))
-            pairs
-        in
-        Prelude.Table.add_row table
-          [
-            Topology.Tiers.tier_name tier;
-            Util.pct doomed;
-            Util.pct protectable;
-            Util.pct immune;
-            Util.pct baseline.Metric.H_metric.lb;
-          ]
-      end)
-    tier_list;
+        Metric.H_metric.pairs ~attackers ~dsts ())
+  in
+  let pool = Context.pool ctx and cache = Context.cache ctx in
+  let fractions =
+    Util.partition_fractions_sets ~pool ~cache ctx.graph policy
+      (Array.of_list (List.map snd rows))
+  in
+  List.iteri
+    (fun i (tier, pairs) ->
+      let doomed, protectable, immune = fractions.(i) in
+      let baseline =
+        Util.h ~pool ~cache ctx.graph policy
+          (Deployment.empty (Topology.Graph.n ctx.graph))
+          pairs
+      in
+      Prelude.Table.add_row table
+        [
+          Topology.Tiers.tier_name tier;
+          Util.pct doomed;
+          Util.pct protectable;
+          Util.pct immune;
+          Util.pct baseline.Metric.H_metric.lb;
+        ])
+    rows;
   table
 
 let by_attacker (ctx : Context.t) policy =
@@ -58,29 +71,31 @@ let by_attacker (ctx : Context.t) policy =
     Prelude.Table.create
       ~header:[ "attacker tier"; "doomed"; "protectable"; "immune" ]
   in
-  List.iter
-    (fun tier ->
-      let members = Context.tier_members ctx tier in
-      if Array.length members > 0 then begin
+  let rows =
+    tier_pairs ctx (fun tier members ->
         let attackers =
           Context.sample ctx
             ("atier-att-" ^ Topology.Tiers.tier_name tier)
             members (Context.scaled ctx 25)
         in
-        let pairs = Metric.H_metric.pairs ~attackers ~dsts () in
-        let doomed, protectable, immune =
-          Util.partition_fractions ~pool:(Context.pool ctx)
-            ~cache:(Context.cache ctx) ctx.graph policy pairs
-        in
-        Prelude.Table.add_row table
-          [
-            Topology.Tiers.tier_name tier;
-            Util.pct doomed;
-            Util.pct protectable;
-            Util.pct immune;
-          ]
-      end)
-    tier_list;
+        Metric.H_metric.pairs ~attackers ~dsts ())
+  in
+  let fractions =
+    Util.partition_fractions_sets ~pool:(Context.pool ctx)
+      ~cache:(Context.cache ctx) ctx.graph policy
+      (Array.of_list (List.map snd rows))
+  in
+  List.iteri
+    (fun i (tier, _) ->
+      let doomed, protectable, immune = fractions.(i) in
+      Prelude.Table.add_row table
+        [
+          Topology.Tiers.tier_name tier;
+          Util.pct doomed;
+          Util.pct protectable;
+          Util.pct immune;
+        ])
+    rows;
   table
 
 let by_source (ctx : Context.t) policy =

@@ -11,41 +11,40 @@ let pct_delta (b : Metric.H_metric.bounds) =
   Printf.sprintf "%+.1f%% / %+.1f%%" (100. *. b.Metric.H_metric.lb)
     (100. *. b.Metric.H_metric.ub)
 
-(* Average partition fractions over a set of attacker-destination pairs.
-   Security 3rd classifies off the attacked state under S = {}, which
-   H(emptyset) also measures: its counts come batched per destination
-   word through the metric cache.  The other models derive the
-   partition from reachability closures and fan the pairs out over the
-   pool (integer counts, so the reduction is order-insensitive anyway —
-   we still reduce in input order). *)
-let partition_fractions ?pool ?cache g policy pairs =
-  let per_pair =
-    match (policy : Routing.Policy.t).model with
-    | Security_third -> Metric.Partition.sec3_counts ?pool ?cache g policy pairs
-    | Security_first | Security_second ->
-        Parallel.map ?pool
-          (fun { Metric.H_metric.attacker; dst } ->
-            Metric.Partition.count
-              ~ws:(Routing.Engine.Workspace.local ())
-              g policy ~attacker ~dst)
-          pairs
-  in
+(* Average partition fractions over a set of attacker-destination pairs:
+   a fold of {!Metric.Partition.counts}, which classifies whole words
+   of pairs (reachability-closure lanes for security 1st/2nd, batched
+   solves of the S = {} state for LPk security 2nd and security 3rd, the
+   latter through the metric cache).  Integer counts, so the reduction
+   is order-insensitive anyway; it still runs in input order. *)
+let fractions_of counts =
   Metric.Partition.fractions
-    (Array.fold_left Metric.Partition.add Metric.Partition.zero per_pair)
+    (Array.fold_left Metric.Partition.add Metric.Partition.zero counts)
+
+let partition_fractions ?pool ?cache g policy pairs =
+  fractions_of (Metric.Partition.counts ?pool ?cache g policy pairs)
+
+(* One [counts] call over every set's pairs, so words fill across sets,
+   then one fold per set. *)
+let partition_fractions_sets ?pool ?cache g policy sets =
+  let counts =
+    Metric.Partition.counts ?pool ?cache g policy
+      (Array.concat (Array.to_list sets))
+  in
+  let off = ref 0 in
+  Array.map
+    (fun pairs ->
+      let len = Array.length pairs in
+      let f = fractions_of (Array.sub counts !off len) in
+      off := !off + len;
+      f)
+    sets
 
 let partition_fractions_by ?pool g policy pairs ~groups ~group =
-  let per_pair =
-    Parallel.map ?pool
-      (fun { Metric.H_metric.attacker; dst } ->
-        Metric.Partition.count_by
-          ~ws:(Routing.Engine.Workspace.local ())
-          g policy ~attacker ~dst ~groups ~group)
-      pairs
-  in
   let total = Array.make groups Metric.Partition.zero in
   Array.iter
     (Array.iteri (fun i c -> total.(i) <- Metric.Partition.add total.(i) c))
-    per_pair;
+    (Metric.Partition.counts_by ?pool g policy pairs ~groups ~group);
   Array.map Metric.Partition.fractions total
 
 (* H over pairs, and the improvement over the empty deployment. *)

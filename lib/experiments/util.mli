@@ -17,12 +17,21 @@ val partition_fractions :
   Routing.Policy.t ->
   Metric.H_metric.pair array ->
   float * float * float
-(** Average (doomed, protectable, immune) fractions over the pairs.
-    Security 3rd (any LP) reads {!Metric.Partition.sec3_counts}: one
-    batched solve per destination word, served from and published to
-    [cache] under the slot [H(emptyset)] uses.  The other models
-    classify one pair per work item on [pool] (or the default pool),
-    each domain reusing its private engine workspace. *)
+(** Average (doomed, protectable, immune) fractions over the pairs: the
+    fold of {!Metric.Partition.counts} (same arguments), whose words run
+    on [pool] and whose security-3rd and LPk security-2nd solves share
+    [cache]'s [H(emptyset)] slots. *)
+
+val partition_fractions_sets :
+  ?pool:Parallel.Pool.t ->
+  ?cache:Metric.H_metric.Cache.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  Metric.H_metric.pair array array ->
+  (float * float * float) array
+(** {!partition_fractions} of each pair set, from one
+    {!Metric.Partition.counts} call over all of them, so the sets' pairs
+    share words. *)
 
 val partition_fractions_by :
   ?pool:Parallel.Pool.t ->
@@ -32,9 +41,9 @@ val partition_fractions_by :
   groups:int ->
   group:(int -> int) ->
   (float * float * float) array
-(** {!partition_fractions} split by source group
-    ({!Metric.Partition.count_by}): each pair is classified once, and
-    entry [i] averages over the sources [v] with [group v = i]. *)
+(** {!partition_fractions} split by source group: the fold of
+    {!Metric.Partition.counts_by}; entry [i] averages over the sources
+    [v] with [group v = i]. *)
 
 val h :
   ?pool:Parallel.Pool.t ->

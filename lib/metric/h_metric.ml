@@ -122,9 +122,8 @@ let no_endpoints = { Routing.Batch.d_only = 0; m_only = 0; both = 0 }
 type batch_item = { bdst : int; bpos : int array }
 
 (* Group the pair positions by destination (first-seen order, keyed
-   lookups only — no Hashtbl iteration) and chunk each destination's
-   attacker list into full words. *)
-let batch_items pairs idxs =
+   lookups only — no Hashtbl iteration). *)
+let group_by_dst pairs idxs =
   let by_dst = Hashtbl.create 64 in
   let order = ref [] in
   Array.iteri
@@ -136,14 +135,23 @@ let batch_items pairs idxs =
           Hashtbl.add by_dst p.dst (ref [ j ]);
           order := p.dst :: !order)
     idxs;
+  Array.of_list
+    (List.rev_map
+       (fun dst ->
+         ( dst,
+           match Hashtbl.find_opt by_dst dst with
+           | Some l -> Array.of_list (List.rev !l)
+           | None -> [||] ))
+       !order)
+
+let destinations pairs =
+  group_by_dst pairs (Array.init (Array.length pairs) (fun i -> i))
+
+(* ... and chunk each destination's attacker list into full words. *)
+let batch_items pairs idxs =
   let items = ref [] in
-  List.iter
-    (fun dst ->
-      let slots =
-        match Hashtbl.find_opt by_dst dst with
-        | Some l -> Array.of_list (List.rev !l)
-        | None -> [||]
-      in
+  Array.iter
+    (fun (dst, slots) ->
       let total = Array.length slots in
       let lanes = Routing.Batch.max_lanes in
       let k = ref 0 in
@@ -152,7 +160,7 @@ let batch_items pairs idxs =
         items := { bdst = dst; bpos = Array.sub slots !k len } :: !items;
         k := !k + len
       done)
-    (List.rev !order);
+    (group_by_dst pairs idxs);
   Array.of_list (List.rev !items)
 
 (* Public face of the grouping: the replay keeps one word per item. *)
@@ -354,6 +362,48 @@ let pair_endpoints ?pool ?(domains = 1) ?cache ?(attacker_claim = 1) g policy
       idxs
   end;
   vals
+
+(* Whole words for consumers that read the state itself, not only its
+   endpoint counts.  Each word's counts are published to [cache] as
+   [pair_endpoints] would store them (no lookup is made: the word is
+   solved whatever the cache holds, because [f] needs it). *)
+let map_words ?pool ?cache g policy dep pairs f =
+  let total = Array.length pairs in
+  let items = batch_items pairs (Array.init total (fun i -> i)) in
+  let per_item =
+    Parallel.map ?pool ~domains:1 ~chunk:1
+      (fun item ->
+        let attackers = Array.map (fun j -> pairs.(j).attacker) item.bpos in
+        let b =
+          Routing.Batch.compute
+            ~ws:(Routing.Batch.Workspace.local ())
+            g policy dep ~dst:item.bdst ~attackers
+        in
+        (Routing.Batch.endpoints b, f ~dst:item.bdst ~attackers b))
+      items
+  in
+  (match cache with
+  | Some c when total > 0 ->
+      let version = Cache.intern c g dep in
+      Array.iteri
+        (fun k item ->
+          let e, _ = per_item.(k) in
+          Array.iteri
+            (fun l j ->
+              Cache.store c policy g dep ~version ~claim:1 pairs.(j) e.(l))
+            item.bpos)
+        items
+  | Some _ | None -> ());
+  if total = 0 then [||]
+  else begin
+    let out = Array.make total (snd per_item.(0)).(0) in
+    Array.iteri
+      (fun k item ->
+        let vals = snd per_item.(k) in
+        Array.iteri (fun l j -> out.(j) <- vals.(l)) item.bpos)
+      items;
+    out
+  end
 
 let h_metric ?pool ?domains ?cache ?attacker_claim g policy dep pairs =
   let n = Topology.Graph.n g in

@@ -110,6 +110,11 @@ module Cache : sig
   val misses : t -> int
 end
 
+val destinations : pair array -> (int * int array) array
+(** The distinct destinations of the pairs, in first-seen order, each
+    with the positions of its pairs in the input, ascending.  Every
+    input position appears exactly once. *)
+
 val batch_plan : pair array -> (int * int array * int array) array
 (** Group pairs by destination (first-seen input order, deterministic)
     and chunk each destination's attacker list into words of at most
@@ -144,6 +149,25 @@ val pair_endpoints :
 
     [cache] memoizes the per-pair counts across calls (hits skip the
     engine entirely); the cache must belong to this graph. *)
+
+val map_words :
+  ?pool:Parallel.Pool.t ->
+  ?cache:Cache.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  Deployment.t ->
+  pair array ->
+  (dst:int -> attackers:int array -> Routing.Batch.t -> 'a array) ->
+  'a array
+(** [map_words g policy dep pairs f] solves the attacked states of the
+    pairs one {!batch_plan} word at a time (claim 1) and returns, in
+    pair order, the per-lane values [f ~dst ~attackers word] gives
+    ([f] must return one value per lane, in lane order; the word is
+    valid only during the call).  [pool] fans the words out, each
+    domain on its private {!Routing.Batch.Workspace}; omitted, they run
+    in the caller.  With [cache], every lane's endpoint counts are
+    stored under the slot {!pair_endpoints} reads, so a later
+    {!pair_endpoints} of the same state hits; no lookup is made. *)
 
 val h_metric :
   ?pool:Parallel.Pool.t ->

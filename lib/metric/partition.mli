@@ -103,3 +103,51 @@ val sec3_counts :
     of that state, batched per destination word and served from (and
     published to) [cache] under the same slot as [H(emptyset)].  Raises
     [Invalid_argument] if the policy's model is not [Security_third]. *)
+
+val counts :
+  ?pool:Parallel.Pool.t ->
+  ?cache:H_metric.Cache.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  H_metric.pair array ->
+  counts array
+(** {!count} of every pair, in pair order, bit-identical to calling it
+    per pair, for every model; pairs may repeat and mix destinations.
+
+    - Security 1st, and security 2nd under the standard LP: the pairs
+      are packed 63 at a time in input order into lane-mask closures
+      ({!Routing.Reach.Lanes}), one rooted at each pair's destination
+      avoiding its attacker and one the other way round.
+    - Security 2nd under LPk: one batched solve of the attacked
+      [S = {}] state per destination word gives each lane's buckets for
+      the length-mask DP.  With [cache], the word's endpoint counts are
+      published to the slot {!sec3_counts} reads, so the security-3rd
+      partition of the same pairs and LP is then served from the cache.
+    - Security 3rd: {!sec3_counts}.
+
+    [pool] fans the words out; omitted, they run in the caller.  Raises
+    [Invalid_argument] when a pair's ids are out of range or equal, and
+    [Failure] as {!compute} does for LPk. *)
+
+val counts_by :
+  ?pool:Parallel.Pool.t ->
+  ?cache:H_metric.Cache.t ->
+  Topology.Graph.t ->
+  Routing.Policy.t ->
+  H_metric.pair array ->
+  groups:int ->
+  group:(int -> int) ->
+  counts array array
+(** {!count_by} of every pair, in pair order, bit-identical to calling
+    it per pair: entry [j] splits pair [j]'s sources by group.  Security
+    1st/2nd run as in {!counts}; security 3rd walks each destination
+    word's groups once (and, with [cache], publishes the word's counts
+    like the LPk path).  Raises as {!counts}, and [Invalid_argument]
+    when [groups < 0]. *)
+
+val reach_counts :
+  ?pool:Parallel.Pool.t -> Topology.Graph.t -> H_metric.pair array -> int array
+(** Per pair, in pair order: the sources — every AS but the pair's
+    attacker and destination — holding a perceivable route to the
+    destination, nothing avoided.  One closure lane per distinct
+    destination.  Raises [Invalid_argument] as {!counts}. *)

@@ -53,6 +53,8 @@ let bit_index =
   (* Slots no bit reaches (4 of 67) are never read; they hold 63. *)
   Array.init 67 (fun r -> find r 0)
 
+let lowest_index w = bit_index.(((w land -w) land max_int) mod 67)
+
 let rec iter_bits f base w =
   if w <> 0 then begin
     let b = w land -w in

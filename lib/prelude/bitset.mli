@@ -28,6 +28,11 @@ val clear : t -> unit
 val cardinal : t -> int
 (** Number of members; O(1). *)
 
+val lowest_index : int -> int
+(** [lowest_index w] is the index of the lowest set bit of the nonzero
+    word [w] (bit 62, the sign bit, included), in O(1).  Unspecified
+    for [w = 0]. *)
+
 val iter_set : (int -> unit) -> t -> unit
 (** [iter_set f t] applies [f] to every member in ascending order.
     Cost is O(words + cardinal), not O(length): zero words are skipped

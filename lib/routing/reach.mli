@@ -61,3 +61,46 @@ val best_class : t -> int -> Policy.route_class option
     a perceivable route, [None] if unreachable. *)
 
 val in_class : t -> Policy.route_class -> int -> bool
+
+(** Up to {!Prelude.Bitset.word_bits} closures in one pass over the graph
+    (multi-source bit-parallel BFS): lane [l] is bit [l] of a native
+    int, with its own root and its own avoided AS, so the lanes of one
+    call need not share a destination or anything else.  Per AS the
+    result is three lane masks, one per route class; lane [l] of
+    [customer t v] is [customer (compute g ~root ~avoid ()) v] for that
+    lane's root and avoided AS, and likewise for the other two classes.
+
+    Three pull passes over the CSR rows compute the masks: customers in
+    the hierarchy's topological order, then peers, then providers in
+    the reverse order.  On a cyclic hierarchy each pass repeats until
+    no mask changes (the least fixpoint, whatever the order).  A warm
+    workspace makes a call allocate nothing. *)
+module Lanes : sig
+  type t
+  (** Per-AS mask buffers, grown to the largest graph seen.  Not
+      thread-safe: one per domain. *)
+
+  val create : int -> t
+  (** [create n] preallocates for graphs of up to [n] ASes. *)
+
+  val compute :
+    t ->
+    Topology.Graph.t ->
+    lanes:int ->
+    roots:int array ->
+    avoid:int array ->
+    unit
+  (** [compute t g ~lanes ~roots ~avoid] fills [t] with lanes
+      [0 .. lanes - 1]: lane [l] is rooted at [roots.(l)] and skips
+      [avoid.(l)] entirely ([-1] for no avoided AS).  Entries past
+      [lanes] are ignored.  Raises [Invalid_argument] when [lanes] is
+      outside [1 .. word_bits], an id is out of range or a lane's root
+      equals its avoided AS. *)
+
+  val customer : t -> int -> int
+  (** Lanes in which the AS has a perceivable customer route to the
+      lane's root, as of the last {!compute}. *)
+
+  val peer : t -> int -> int
+  val provider : t -> int -> int
+end

@@ -356,33 +356,39 @@ let edges g =
    graph: the ASes in the order it retires them (every customer before
    its providers), or — when some never reach in-degree 0 — those, which
    sit on or above a cycle. *)
+(* Kahn's algorithm on the CSR rows, so a snapshot-loaded graph never
+   materializes its tables for it; [order] doubles as the FIFO queue
+   (pops happen in push order). *)
 let hierarchy g =
   match g.hierarchy_cache with
   | Some h -> h
   | None ->
-      let tb = tables g in
-      let indeg = Array.make g.n 0 in
-      for v = 0 to g.n - 1 do
-        indeg.(v) <- Array.length tb.customers.(v)
-      done;
-      let queue = Queue.create () in
-      for v = 0 to g.n - 1 do
-        if indeg.(v) = 0 then Queue.add v queue
-      done;
+      let c = csr g in
+      let adj = c.Csr.adj and xs = c.Csr.xs in
+      let indeg = Array.init g.n (fun v -> xs.{(3 * v) + 1} - xs.{3 * v}) in
       let order = Array.make g.n 0 in
-      let seen = ref 0 in
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        order.(!seen) <- v;
-        incr seen;
-        Array.iter
-          (fun p ->
-            indeg.(p) <- indeg.(p) - 1;
-            if indeg.(p) = 0 then Queue.add p queue)
-          tb.providers.(v)
+      let tail = ref 0 in
+      for v = 0 to g.n - 1 do
+        if indeg.(v) = 0 then begin
+          order.(!tail) <- v;
+          incr tail
+        end
+      done;
+      let head = ref 0 in
+      while !head < !tail do
+        let v = order.(!head) in
+        incr head;
+        for j = xs.{(3 * v) + 2} to xs.{(3 * v) + 3} - 1 do
+          let p = adj.{j} in
+          indeg.(p) <- indeg.(p) - 1;
+          if indeg.(p) = 0 then begin
+            order.(!tail) <- p;
+            incr tail
+          end
+        done
       done;
       let h =
-        if !seen = g.n then Ok order
+        if !tail = g.n then Ok order
         else begin
           let cycle = ref [] in
           for v = g.n - 1 downto 0 do

@@ -13,8 +13,13 @@ let coin rng = Int64.logand (Core.Rng.bits64 rng) 1L = 1L
 (* Random annotated AS graph: node 0 is the top of the hierarchy; every
    other node takes at least one provider with a smaller id, so the graph
    is connected and the hierarchy acyclic by construction.  Random peer
-   edges are sprinkled on top.  The size is uniform in [min_n .. max_n]. *)
-let random_graph ?(min_n = 3) rng ~max_n =
+   edges are sprinkled on top.  The size is uniform in [min_n .. max_n].
+
+   [cycle] (default [false]) first plants a customer-provider cycle on
+   the three largest ids, [n-3 -> n-2 -> n-1 -> n-3] (each a customer of
+   the next), so the hierarchy is cyclic; the regular provider draws
+   then skip those three pairs. *)
+let random_graph ?(min_n = 3) ?(cycle = false) rng ~max_n =
   let n = min_n + Core.Rng.int rng (max_n - min_n + 1) in
   let edges = ref [] in
   let seen = Hashtbl.create 16 in
@@ -25,6 +30,12 @@ let random_graph ?(min_n = 3) rng ~max_n =
       edges := e :: !edges
     end
   in
+  if cycle && n >= 3 then begin
+    let a = n - 3 and b = n - 2 and c = n - 1 in
+    try_add (c2p a b) a b;
+    try_add (c2p b c) b c;
+    try_add (c2p c a) c a
+  end;
   for v = 1 to n - 1 do
     let n_prov = 1 + Core.Rng.int rng 2 in
     for _ = 1 to n_prov do

@@ -185,6 +185,55 @@ let test_avg_happy_cached () =
   Alcotest.(check bool) "the twins hit the cache" true
     (Metric.Cache.hits (Experiments.Context.cache ctx) > 0)
 
+(* The batched attacks that bypass route selection equal the per-pair
+   [simulate], record for record: the filtered prefix and subprefix
+   hijacks (closure lanes of up to 63 distinct destinations under
+   security 3rd, S = {} and the standard LP; one normal solve per
+   destination under a random policy and deployment) and the unfiltered
+   subprefix hijack, on acyclic and cyclic hierarchies of 70+ ASes, with
+   pairs that mix destinations and repeat. *)
+let test_simulate_pairs =
+  qtest "simulate_pairs = per-pair simulate" ~count:25 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph ~min_n:70 ~cycle:(coin rng) rng ~max_n:110 in
+      let n = Graph.n g in
+      let dsts = Rng.sample_without_replacement rng (60 + Rng.int rng 10) n in
+      let fresh _ =
+        let dst = dsts.(Rng.int rng (Array.length dsts)) in
+        let m = Rng.int rng (n - 1) in
+        { Metric.attacker = (if m >= dst then m + 1 else m); dst }
+      in
+      let base = Array.init (80 + Rng.int rng 80) fresh in
+      let pairs =
+        Array.append base
+          (Array.init 20 (fun _ -> base.(Rng.int rng (Array.length base))))
+      in
+      let same policy dep ~origin_auth strategy =
+        Attacks.simulate_pairs ~origin_auth g policy dep pairs strategy
+        = Array.map
+            (fun { Metric.attacker; dst } ->
+              Attacks.simulate ~origin_auth g policy dep ~attacker ~dst strategy)
+            pairs
+      in
+      let empty = Deployment.empty n in
+      let other = random_policy rng and dep = random_deployment rng n in
+      same sec3 empty ~origin_auth:true Attacks.Prefix_hijack
+      && same sec3 empty ~origin_auth:true Attacks.Subprefix_hijack
+      && same sec3 empty ~origin_auth:false Attacks.Subprefix_hijack
+      && same other dep ~origin_auth:true Attacks.Prefix_hijack
+      && same other dep ~origin_auth:false Attacks.Subprefix_hijack)
+
+let test_simulate_pairs_rejects () =
+  let g = Lazy.force g in
+  let pairs = [| { Metric.attacker = 3; dst = 0 } |] in
+  Alcotest.check_raises "route selection"
+    (Invalid_argument
+       "Attacks.simulate_pairs: the attack enters route selection")
+    (fun () ->
+      ignore
+        (Attacks.simulate_pairs ~origin_auth:false g sec3 empty pairs
+           Attacks.Prefix_hijack))
+
 let () =
   Alcotest.run "attacks"
     [
@@ -206,6 +255,9 @@ let () =
         [ test_shorter_claims_stronger; test_hijack_at_least_as_strong ] );
       ( "experiment",
         [
+          test_simulate_pairs;
+          Alcotest.test_case "simulate_pairs rejects selected attacks" `Quick
+            test_simulate_pairs_rejects;
           Alcotest.test_case "cached avg_happy = per-pair simulate" `Quick
             test_avg_happy_cached;
         ] );

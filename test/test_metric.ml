@@ -540,6 +540,125 @@ let test_count_by =
              by.(i) = among members)
            (List.init groups Fun.id))
 
+(* ---- Whole-word partitions ---------------------------------------- *)
+
+(* Pairs for the whole-word properties: destinations drawn from a few
+   ASes, so consecutive pairs mix destinations and one destination can
+   fill more than one word; a quarter of the pairs repeat earlier ones.
+   With [count >= 63] the first closure word is full (lane 62 is the
+   sign bit of the lane masks). *)
+let word_pairs rng n ~count =
+  let dsts = Rng.sample_without_replacement rng (min 5 n) n in
+  let fresh _ =
+    let dst = dsts.(Rng.int rng (Array.length dsts)) in
+    let m = Rng.int rng (n - 1) in
+    { Metric.attacker = (if m >= dst then m + 1 else m); dst }
+  in
+  let base = Array.init count fresh in
+  Array.append base
+    (Array.init (count / 4) (fun _ -> base.(Rng.int rng count)))
+
+let per_pair_counts g policy pairs =
+  Array.map
+    (fun { Metric.attacker; dst } -> Partition.count g policy ~attacker ~dst)
+    pairs
+
+(* [Partition.counts] = per-pair [Partition.count], bit for bit, on
+   graphs of 70+ ASes (acyclic, or with a planted customer-provider
+   cycle when [cycle]). *)
+let counts_identity name ?(cycle = false) ?(count = 25) policy_of =
+  qtest name ~count (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph ~min_n:70 ~cycle rng ~max_n:110 in
+      let n = Graph.n g in
+      (not cycle || Result.is_error (Graph.hierarchy g))
+      &&
+      let pairs = word_pairs rng n ~count:(63 + Rng.int rng 100) in
+      let policy = policy_of rng in
+      Partition.counts g policy pairs = per_pair_counts g policy pairs)
+
+let lp k model = Policy.make ~lp:(Policy.Lp_k k) model
+
+let test_counts_sec1 =
+  counts_identity "sec 1st counts = per-pair" (fun _ -> sec1)
+
+let test_counts_sec2 =
+  counts_identity "sec 2nd counts = per-pair" (fun _ -> sec2)
+
+let test_counts_cyclic =
+  counts_identity "sec 1st/2nd counts = per-pair, cyclic hierarchy"
+    ~cycle:true (fun rng -> if coin rng then sec1 else sec2)
+
+let test_counts_lp2 =
+  counts_identity "sec 2nd LP-2 counts = per-pair" ~count:15 (fun _ ->
+      lp 2 Policy.Security_second)
+
+let test_counts_lp60 =
+  counts_identity "sec 2nd LP-60 counts = per-pair" ~count:15 (fun _ ->
+      lp 60 Policy.Security_second)
+
+(* [Partition.counts_by] = per-pair [Partition.count_by] for every
+   model, split over random groups (-1 leaves a source out). *)
+let test_counts_by =
+  qtest "counts_by = per-pair count_by" ~count:25 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph ~min_n:70 rng ~max_n:110 in
+      let n = Graph.n g in
+      let pairs = word_pairs rng n ~count:(63 + Rng.int rng 100) in
+      let policy =
+        match Rng.int rng 5 with
+        | 0 -> sec1
+        | 1 -> sec2
+        | 2 -> lp 2 Policy.Security_second
+        | 3 -> lp 2 Policy.Security_third
+        | _ -> sec3
+      in
+      let groups = 1 + Rng.int rng 8 in
+      let label = Array.init n (fun _ -> Rng.int rng (groups + 1) - 1) in
+      let group = Array.get label in
+      Partition.counts_by g policy pairs ~groups ~group
+      = Array.map
+          (fun { Metric.attacker; dst } ->
+            Partition.count_by g policy ~attacker ~dst ~groups ~group)
+          pairs)
+
+(* The LPk security-2nd partition solves the attacked S = {} states in
+   batched words and publishes their counts: the security-3rd partition
+   of the same pairs and LP is then served entirely from the cache, and
+   still equals its per-pair counts. *)
+let test_lpk_publishes =
+  qtest "sec 2nd LPk counts publish the sec 3rd slots" ~count:20 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:40 in
+      let n = Graph.n g in
+      let pairs = word_pairs rng n ~count:(1 + Rng.int rng 80) in
+      let k = if coin rng then 2 else 60 in
+      let cache = Metric.Cache.create () in
+      let sec2k = lp k Policy.Security_second and sec3k = lp k Policy.Security_third in
+      let c2 = Partition.counts ~cache g sec2k pairs in
+      let hits = Metric.Cache.hits cache and misses = Metric.Cache.misses cache in
+      let c3 = Partition.counts ~cache g sec3k pairs in
+      c2 = per_pair_counts g sec2k pairs
+      && c3 = per_pair_counts g sec3k pairs
+      && Metric.Cache.misses cache = misses
+      && Metric.Cache.hits cache = hits + Array.length pairs)
+
+let test_counts_validation () =
+  let g = graph 3 [ c2p 1 0; c2p 2 0 ] in
+  List.iter
+    (fun policy ->
+      Alcotest.check_raises "attacker = dst"
+        (Invalid_argument "Partition.counts: attacker = dst") (fun () ->
+          ignore
+            (Partition.counts g policy [| { Metric.attacker = 1; dst = 1 } |]));
+      Alcotest.check_raises "dst out of range"
+        (Invalid_argument "Partition.counts: dst out of range") (fun () ->
+          ignore
+            (Partition.counts g policy [| { Metric.attacker = 1; dst = 3 } |])))
+    [ sec1; sec2; lp 2 Policy.Security_second; sec3 ];
+  Alcotest.(check int) "no pairs" 0
+    (Array.length (Partition.counts g sec1 [||]))
+
 let () =
   Alcotest.run "metric"
     [
@@ -566,5 +685,16 @@ let () =
           test_sec3_count_batch;
           test_cache_served_identity;
           test_count_by;
+        ] );
+      ( "whole-word partitions",
+        [
+          test_counts_sec1;
+          test_counts_sec2;
+          test_counts_cyclic;
+          test_counts_lp2;
+          test_counts_lp60;
+          test_counts_by;
+          test_lpk_publishes;
+          Alcotest.test_case "validation" `Quick test_counts_validation;
         ] );
     ]

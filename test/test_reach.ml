@@ -138,6 +138,59 @@ let test_reach_overlay =
       done;
       !ok)
 
+(* Lane-mask closures: lane [l] of every mask equals the scalar closure
+   of that lane's root and avoided AS, for 1 to 63 lanes with repeated
+   roots and lanes that avoid nothing, on acyclic hierarchies and on
+   ones with a planted customer-provider cycle; the workspace is reused
+   across graphs of different sizes. *)
+let test_lanes_match_scalar =
+  let ws = Reach.Lanes.create 0 in
+  qtest "lane closures = per-lane scalar closures" ~count:150 (fun seed ->
+      let rng = Rng.create seed in
+      let cycle = coin rng in
+      let g = random_graph ~cycle rng ~max_n:90 in
+      let n = Graph.n g in
+      let lanes = 1 + Rng.int rng 63 in
+      let roots = Array.init lanes (fun _ -> Rng.int rng n) in
+      let avoid =
+        Array.map
+          (fun r ->
+            if coin rng then -1
+            else
+              let a = Rng.int rng (n - 1) in
+              if a >= r then a + 1 else a)
+          roots
+      in
+      Reach.Lanes.compute ws g ~lanes ~roots ~avoid;
+      let ok = ref true in
+      for l = 0 to lanes - 1 do
+        let r = Reach.compute g ~root:roots.(l) ~avoid:avoid.(l) () in
+        for v = 0 to n - 1 do
+          let bit m = (m lsr l) land 1 = 1 in
+          if
+            bit (Reach.Lanes.customer ws v) <> Reach.customer r v
+            || bit (Reach.Lanes.peer ws v) <> Reach.peer r v
+            || bit (Reach.Lanes.provider ws v) <> Reach.provider r v
+          then ok := false
+        done
+      done;
+      !ok)
+
+let test_lanes_bad_args () =
+  let g = graph 3 [ c2p 1 0; c2p 2 0 ] in
+  let ws = Reach.Lanes.create 3 in
+  let raises what f =
+    Alcotest.check_raises what (Invalid_argument ("Reach.Lanes.compute: " ^ what)) f
+  in
+  raises "root = avoid" (fun () ->
+      Reach.Lanes.compute ws g ~lanes:1 ~roots:[| 1 |] ~avoid:[| 1 |]);
+  raises "root out of range" (fun () ->
+      Reach.Lanes.compute ws g ~lanes:1 ~roots:[| 3 |] ~avoid:[| -1 |]);
+  raises "lane count out of range" (fun () ->
+      Reach.Lanes.compute ws g ~lanes:0 ~roots:[||] ~avoid:[||]);
+  raises "fewer roots than lanes" (fun () ->
+      Reach.Lanes.compute ws g ~lanes:2 ~roots:[| 0 |] ~avoid:[| -1 |])
+
 let () =
   Alcotest.run "reach"
     [
@@ -154,4 +207,9 @@ let () =
       ( "vs engine",
         [ test_reach_covers_engine; test_reach_sound_vs_engine ] );
       ("overlay", [ test_reach_overlay ]);
+      ( "lanes",
+        [
+          test_lanes_match_scalar;
+          Alcotest.test_case "bad arguments" `Quick test_lanes_bad_args;
+        ] );
     ]
