@@ -686,7 +686,7 @@ let () =
           test_cache_served_identity;
           test_count_by;
         ] );
-      ( "whole-word partitions",
+      ( "whole-word",
         [
           test_counts_sec1;
           test_counts_sec2;
