@@ -119,45 +119,14 @@ let simulate ?(origin_auth = true) g policy dep ~attacker ~dst strategy =
         of_counts strategy ~filtered:false (Metric.H_metric.happy out)
 
 (* The two attacks that never enter route selection, batched over the
-   pairs.  A filtered announcement leaves the normal state, which
-   depends on the destination only.  Under security 3rd with S = {} and
-   the standard LP that state reaches exactly the ASes holding a
-   perceivable route to the destination, so one closure lane per
-   destination counts every pair of it; otherwise one attacker-free
-   solve per destination does.  The unfiltered subprefix hijack keeps
-   the sources with a perceivable route to the destination avoiding the
-   attacker and none to the attacker avoiding the destination: the
-   security-1st partition's immune class. *)
-let normal_counts ?pool g policy dep pairs =
-  match (policy : Routing.Policy.t) with
-  | { model = Security_third; lp = Standard }
-    when Deployment.count_secure dep = 0 ->
-      Metric.Partition.reach_counts ?pool g pairs
-  | _ ->
-      let out = Array.make (Array.length pairs) 0 in
-      Array.iter
-        (Array.iter (fun (j, c) -> out.(j) <- c))
-        (Parallel.map ?pool ~domains:1
-           (fun (dst, positions) ->
-             let normal =
-               Routing.Engine.compute
-                 ~ws:(Routing.Engine.Workspace.local ())
-                 g policy dep ~dst ~attacker:None
-             in
-             (* The outcome belongs to the workspace: read it before the
-                next solve. *)
-             let reached = ref 0 in
-             for v = 0 to Topology.Graph.n g - 1 do
-               if v <> dst && Routing.Outcome.reached normal v then incr reached
-             done;
-             Array.map
-               (fun j ->
-                 let m = pairs.(j).Metric.H_metric.attacker in
-                 (j, !reached - if Routing.Outcome.reached normal m then 1 else 0))
-               positions)
-           (Metric.H_metric.destinations pairs));
-      out
-
+   pairs.  A filtered announcement leaves the normal state; under
+   security 3rd with S = {} and the standard LP that state reaches
+   exactly the ASes holding a perceivable route to the destination, so
+   one closure lane per destination counts every pair of it.  The
+   unfiltered subprefix hijack keeps the sources with a perceivable
+   route to the destination avoiding the attacker and none to the
+   attacker avoiding the destination: the security-1st partition's
+   immune class. *)
 let simulate_pairs ?pool ?(origin_auth = true) g policy dep pairs strategy =
   (match strategy with
   | Fabricated_path k when k < 1 ->
@@ -174,7 +143,16 @@ let simulate_pairs ?pool ?(origin_auth = true) g policy dep pairs strategy =
   let result happy =
     { strategy; filtered; happy_lb = happy; happy_ub = happy; sources }
   in
-  if filtered then Array.map result (normal_counts ?pool g policy dep pairs)
+  if filtered then begin
+    (match (policy : Routing.Policy.t) with
+    | { model = Security_third; lp = Standard }
+      when Deployment.count_secure dep = 0 -> ()
+    | _ ->
+        invalid_arg
+          "Attacks.simulate_pairs: a filtered announcement needs security \
+           3rd, S = {} and the standard LP");
+    Array.map result (Metric.Partition.reach_counts ?pool g pairs)
+  end
   else
     match strategy with
     | Subprefix_hijack ->

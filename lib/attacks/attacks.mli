@@ -79,11 +79,12 @@ val simulate_pairs :
       destination.  Under security 3rd, [S = {}] and the standard LP
       that state reaches exactly the ASes with a perceivable route to
       the destination, counted by one closure lane per destination
-      ({!Metric.Partition.reach_counts}); under any other policy or
-      deployment one attacker-free solve per destination counts it.
+      ({!Metric.Partition.reach_counts}); that is the only setting in
+      which a filtered announcement is accepted.
     - The unfiltered subprefix hijack counts the security-1st immune
       sources ({!Metric.Partition.counts}), whatever the policy.
 
     Raises [Invalid_argument] for an unfiltered prefix hijack or
-    fabricated path, for a fabricated path shorter than 1, and for a
-    pair whose ids are out of range or equal. *)
+    fabricated path, for a filtered announcement under any other policy
+    or a non-empty deployment, for a fabricated path shorter than 1,
+    and for a pair whose ids are out of range or equal. *)

@@ -15,17 +15,10 @@ let pct_delta (b : Metric.H_metric.bounds) =
    a fold of {!Metric.Partition.counts}, which classifies whole words
    of pairs (reachability-closure lanes for security 1st/2nd, batched
    solves of the S = {} state for LPk security 2nd and security 3rd, the
-   latter through the metric cache).  Integer counts, so the reduction
-   is order-insensitive anyway; it still runs in input order. *)
-let fractions_of counts =
-  Metric.Partition.fractions
-    (Array.fold_left Metric.Partition.add Metric.Partition.zero counts)
-
-let partition_fractions ?pool ?cache g policy pairs =
-  fractions_of (Metric.Partition.counts ?pool ?cache g policy pairs)
-
-(* One [counts] call over every set's pairs, so words fill across sets,
-   then one fold per set. *)
+   latter through the metric cache).  One [counts] call over every
+   set's pairs, so words fill across sets, then one fold per set.
+   Integer counts, so the reduction is order-insensitive anyway; it
+   still runs in input order. *)
 let partition_fractions_sets ?pool ?cache g policy sets =
   let counts =
     Metric.Partition.counts ?pool ?cache g policy
@@ -35,10 +28,16 @@ let partition_fractions_sets ?pool ?cache g policy sets =
   Array.map
     (fun pairs ->
       let len = Array.length pairs in
-      let f = fractions_of (Array.sub counts !off len) in
+      let total =
+        Array.fold_left Metric.Partition.add Metric.Partition.zero
+          (Array.sub counts !off len)
+      in
       off := !off + len;
-      f)
+      Metric.Partition.fractions total)
     sets
+
+let partition_fractions ?pool ?cache g policy pairs =
+  (partition_fractions_sets ?pool ?cache g policy [| pairs |]).(0)
 
 let partition_fractions_by ?pool g policy pairs ~groups ~group =
   let total = Array.make groups Metric.Partition.zero in

@@ -17,10 +17,8 @@ val partition_fractions :
   Routing.Policy.t ->
   Metric.H_metric.pair array ->
   float * float * float
-(** Average (doomed, protectable, immune) fractions over the pairs: the
-    fold of {!Metric.Partition.counts} (same arguments), whose words run
-    on [pool] and whose security-3rd and LPk security-2nd solves share
-    [cache]'s [H(emptyset)] slots. *)
+(** Average (doomed, protectable, immune) fractions over the pairs:
+    {!partition_fractions_sets} of the one set. *)
 
 val partition_fractions_sets :
   ?pool:Parallel.Pool.t ->
@@ -29,9 +27,11 @@ val partition_fractions_sets :
   Routing.Policy.t ->
   Metric.H_metric.pair array array ->
   (float * float * float) array
-(** {!partition_fractions} of each pair set, from one
-    {!Metric.Partition.counts} call over all of them, so the sets' pairs
-    share words. *)
+(** Average (doomed, protectable, immune) fractions over each pair set:
+    the per-set fold of one {!Metric.Partition.counts} call (same
+    arguments) over all the sets' pairs, so they share words.  The words
+    run on [pool]; the security-3rd and LPk security-2nd solves share
+    [cache]'s [H(emptyset)] slots. *)
 
 val partition_fractions_by :
   ?pool:Parallel.Pool.t ->

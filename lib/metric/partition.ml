@@ -118,10 +118,15 @@ let topo_order g =
 
 let check_k k = if k > 60 then failwith "Partition: Lp_k with k > 60 unsupported"
 
-(* The class-respecting DP over the attacked [S = {}] state [base] of
-   the pair, which fixes every AS's bucket. *)
-let lpk_classes ~topo g ~k ~attacker ~dst base =
-  let n = Topology.Graph.n g in
+(* The class-respecting DP over the attacked [S = {}] state of the
+   pair, which fixes every AS's bucket. *)
+let sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n =
+  check_k k;
+  let base =
+    Routing.Engine.compute ?ws g policy (Deployment.empty n) ~dst
+      ~attacker:(Some attacker)
+  in
+  let topo = topo_order g in
   let bucket =
     Array.init n (fun v ->
         if v = dst || v = attacker then B_none else bucket_of ~k base v)
@@ -204,14 +209,6 @@ let lpk_classes ~topo g ~k ~attacker ~dst base =
   Array.init n (fun v ->
       if v = attacker || v = dst then Unreachable
       else classify ~d_ok:avail_d.(v) ~m_ok:avail_m.(v))
-
-let sec2_lpk_partition ?ws g policy ~k ~attacker ~dst n =
-  check_k k;
-  let base =
-    Routing.Engine.compute ?ws g policy (Deployment.empty n) ~dst
-      ~attacker:(Some attacker)
-  in
-  lpk_classes ~topo:(topo_order g) g ~k ~attacker ~dst base
 
 (* Validate up front so every model raises the same error, instead of
    leaking whichever internal helper trips first (the security-1st path
@@ -301,6 +298,9 @@ let sec3_counts ?pool ?cache g policy pairs =
      batched solve per destination word.
    - Security 3rd reads the endpoints of that same state. *)
 
+type codes =
+  (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 module Ws = struct
   type t = {
     d : Routing.Reach.Lanes.t;
@@ -312,17 +312,20 @@ module Ws = struct
     mutable doomed : Prelude.Lane_counter.t array;
     mutable protectable : Prelude.Lane_counter.t array;
     mutable immune : Prelude.Lane_counter.t array;
-    (* LPk: every lane's bucket codes, lane [l] at [l * n + v]; the
-       customer-candidate flags and both sides' availability of one
-       lane.  Off-heap, like the closures' buffers
-       ({!Routing.Reach.Lanes}). *)
-    mutable codes : Topology.Graph.ints;
+    (* LPk: every lane's bucket codes, lane [l] at [l * n + v], one byte
+       each (codes stay below 256); the customer-candidate flags and
+       both sides' availability of one lane.  Off-heap, like the
+       closures' buffers ({!Routing.Reach.Lanes}). *)
+    mutable codes : codes;
     mutable cok : Topology.Graph.ints;
     mutable avail_d : Topology.Graph.ints;
     mutable avail_m : Topology.Graph.ints;
   }
 
   let buf n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+  let code_buf n =
+    Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout n
 
   let create () =
     {
@@ -334,7 +337,7 @@ module Ws = struct
       doomed = [||];
       protectable = [||];
       immune = [||];
-      codes = buf 0;
+      codes = code_buf 0;
       cok = buf 0;
       avail_d = buf 0;
       avail_m = buf 0;
@@ -345,7 +348,7 @@ module Ws = struct
 
   (* LPk buffers for a word of [lanes] lanes on [n] ASes. *)
   let lpk_buffers t ~n ~lanes =
-    if Bigarray.Array1.dim t.codes < lanes * n then t.codes <- buf (lanes * n);
+    if Bigarray.Array1.dim t.codes < lanes * n then t.codes <- code_buf (lanes * n);
     if Bigarray.Array1.dim t.cok < n then begin
       t.cok <- buf n;
       t.avail_d <- buf n;
@@ -513,7 +516,7 @@ let code_of_word ~k word =
 
 (* Does a neighbor in CSR slice [j .. stop-1] export a route that one
    more hop turns into [want]? *)
-let rec exports_into (adj : Topology.Graph.ints) (codes : Topology.Graph.ints)
+let rec exports_into (adj : Topology.Graph.ints) (codes : codes)
     (cok : Topology.Graph.ints) ~base ~k ~root ~root_len ~avoid ~want j stop =
   j < stop
   &&

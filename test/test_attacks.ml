@@ -111,7 +111,9 @@ let test_strategy_names () =
    claim.  Its averages must equal the per-pair [simulate] fold bit for
    bit, for every strategy, both origin-authentication settings, every
    model plus LP-2 and three deployments, on a cold and on a warm
-   cache. *)
+   cache.  A filtered announcement is computed only under security 3rd,
+   S = {} and the standard LP, the setting Part 1 runs it in; anywhere
+   else it is rejected. *)
 let test_avg_happy_cached () =
   let ctx = Experiments.Context.make ~n:300 ~seed:5 ~scale:0.1 () in
   let g = ctx.Experiments.Context.graph in
@@ -167,7 +169,6 @@ let test_avg_happy_cached () =
             (fun origin_auth ->
               List.iter
                 (fun strategy ->
-                  let want = per_pair policy dep ~origin_auth strategy in
                   let got () =
                     Experiments.Exp_attacks.avg_happy ctx policy dep
                       ~origin_auth pairs strategy
@@ -176,8 +177,24 @@ let test_avg_happy_cached () =
                     Printf.sprintf "%s, %s, OA %b" (Policy.name policy)
                       (Attacks.strategy_name strategy) origin_auth
                   in
-                  Alcotest.(check bool) (what ^ ", cold") true (got () = want);
-                  Alcotest.(check bool) (what ^ ", warm") true (got () = want))
+                  let filtered =
+                    origin_auth
+                    && not (Attacks.passes_origin_validation strategy)
+                  in
+                  let premise =
+                    policy = Experiments.Context.sec3
+                    && Deployment.count_secure dep = 0
+                  in
+                  if filtered && not premise then
+                    Alcotest.(check bool) (what ^ ", rejected") true
+                      (match got () with
+                      | _ -> false
+                      | exception Invalid_argument _ -> true)
+                  else begin
+                    let want = per_pair policy dep ~origin_auth strategy in
+                    Alcotest.(check bool) (what ^ ", cold") true (got () = want);
+                    Alcotest.(check bool) (what ^ ", warm") true (got () = want)
+                  end)
                 strategies)
             [ false; true ])
         policies)
@@ -188,10 +205,11 @@ let test_avg_happy_cached () =
 (* The batched attacks that bypass route selection equal the per-pair
    [simulate], record for record: the filtered prefix and subprefix
    hijacks (closure lanes of up to 63 distinct destinations under
-   security 3rd, S = {} and the standard LP; one normal solve per
-   destination under a random policy and deployment) and the unfiltered
-   subprefix hijack, on acyclic and cyclic hierarchies of 70+ ASes, with
-   pairs that mix destinations and repeat. *)
+   security 3rd, S = {} and the standard LP) and the unfiltered
+   subprefix hijack under a random policy and deployment, on acyclic
+   and cyclic hierarchies of 70+ ASes, with pairs that mix destinations
+   and repeat.  A filtered announcement under another model, LP or a
+   non-empty deployment is rejected. *)
 let test_simulate_pairs =
   qtest "simulate_pairs = per-pair simulate" ~count:25 (fun seed ->
       let rng = Rng.create seed in
@@ -215,13 +233,22 @@ let test_simulate_pairs =
               Attacks.simulate ~origin_auth g policy dep ~attacker ~dst strategy)
             pairs
       in
+      let rejected policy dep strategy =
+        match Attacks.simulate_pairs g policy dep pairs strategy with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
       let empty = Deployment.empty n in
       let other = random_policy rng and dep = random_deployment rng n in
+      let secure = Deployment.make ~n ~full:[| pairs.(0).Metric.dst |] () in
       same sec3 empty ~origin_auth:true Attacks.Prefix_hijack
       && same sec3 empty ~origin_auth:true Attacks.Subprefix_hijack
       && same sec3 empty ~origin_auth:false Attacks.Subprefix_hijack
-      && same other dep ~origin_auth:true Attacks.Prefix_hijack
-      && same other dep ~origin_auth:false Attacks.Subprefix_hijack)
+      && same other dep ~origin_auth:false Attacks.Subprefix_hijack
+      && rejected (Policy.make Policy.Security_first) empty Attacks.Prefix_hijack
+      && rejected (Policy.make ~lp:(Policy.Lp_k 2) Policy.Security_third)
+           empty Attacks.Subprefix_hijack
+      && rejected sec3 secure Attacks.Prefix_hijack)
 
 let test_simulate_pairs_rejects () =
   let g = Lazy.force g in
