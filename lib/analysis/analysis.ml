@@ -175,7 +175,7 @@ let fixture_config allow budget =
     par_entries =
       [ "Parallel.map"; "Parallel.Pool.map"; "Stdlib.Domain.spawn" ];
     lock_brackets = [ "Stdlib.Mutex.protect" ];
-    workspace_specs = [ "Routing.Engine.Workspace.t" ];
+    workspace_specs = [ "Routing.Batch.Workspace.t" ];
     hot_entries = [ "Astlint_fixtures.A9_hot_alloc.kernel_entry" ];
     cache_api =
       [

@@ -106,10 +106,10 @@ let default ?(allow = Allowlist.empty) ?(budget = Budget.empty) () =
     swallow_scopes = [ "lib"; "bin" ];
     unsafe_scopes = [ "lib"; "bin" ];
     kernel_modules =
-      [ "Routing.Engine"; "Routing.Batch"; "Routing.Reach"; "Routing.Staged";
+      [ "Routing.Batch"; "Routing.Reach"; "Routing.Staged";
         "Topology.Graph.Csr"; "Prelude.Bucket_queue" ];
     taint_roots =
-      [ "Routing.Engine.compute"; "Routing.Reference.*";
+      [ "Routing.Batch.compute"; "Routing.Reference.*";
         "Metric.H_metric.*"; "Check.Kernel.*" ];
     rng_scopes = [ "lib/rng" ];
     domain_scopes = [ "lib"; "bin" ];
@@ -118,11 +118,9 @@ let default ?(allow = Allowlist.empty) ?(budget = Budget.empty) () =
     lock_brackets =
       [ "Prelude.Shard_cache.with_shard"; "Stdlib.Mutex.protect" ];
     workspace_specs =
-      [ "Routing.Engine.Workspace.t"; "Routing.Batch.Workspace.t";
-        "Routing.Reference.Workspace.t" ];
+      [ "Routing.Batch.Workspace.t"; "Routing.Reference.Workspace.t" ];
     hot_entries =
-      [ "Routing.Engine.compute"; "Routing.Batch.compute";
-        "Routing.Reach.compute"; "Routing.Reach.Lanes.compute"; "Routing.Staged.*";
+      [ "Routing.Batch.compute"; "Routing.Reach.compute"; "Routing.Reach.Lanes.compute"; "Routing.Staged.*";
         "Topology.Graph.Csr.*" ];
     cache_api =
       [ "Metric.H_metric.Cache.find"; "Metric.H_metric.Cache.store";

@@ -118,7 +118,7 @@ val describe_alloc : alloc_kind -> string
 type capture = {
   name : string;  (** source name of the referenced value *)
   tyhead : string;  (** canonical type head, e.g.
-                        ["Routing.Engine.Workspace.t"] *)
+                        ["Routing.Batch.Workspace.t"] *)
   depth : int;  (** binder depth of the value (0 = toplevel) *)
   c_lambdas : string option list;
   c_encl : string;

@@ -4,10 +4,11 @@
    allocation *sites*; this pass measures what the compiled code
    actually does, which covers the analyzer's stated blind spots —
    inlining, [@inline] hints, unboxing, Simplif's reference elimination
-   (DESIGN.md §16).  Three kernels and the lane-mask closure are
-   replayed single-domain over a deterministic pair sample with reused
-   workspaces, and the observed [Gc.minor_words] per pair (per lane for
-   the closure) is compared against the recorded [default_budgets].
+   (DESIGN.md §16).  The batched and reference kernels and the
+   lane-mask closure are replayed single-domain over a deterministic
+   pair sample with reused workspaces, and the observed
+   [Gc.minor_words] per pair (per lane for the batch and the closure)
+   is compared against the recorded [default_budgets].
 
    Every measurement is identity-gated: the outcome produced inside the
    measured loop must be bit-identical to a fresh-buffer computation of
@@ -19,7 +20,7 @@
    the executing domain fails here even if the impurity dodged the
    static walk.
 
-   [tamper] (called once per measured scalar pair) and [taint] (applied
+   [tamper] (called once per measured batch solve) and [taint] (applied
    to the warm cache-probe result) exist for the false-negative mutants:
    they emulate an allocation regression the analyzer missed and a
    history-dependent cache, and prove this pass catches both. *)
@@ -33,7 +34,6 @@ module R = Routing.Reference
 module M = Metric.H_metric
 
 type budgets = {
-  scalar : float;
   batch : float;
   reference : float;
   closure : float;
@@ -43,15 +43,15 @@ type budgets = {
    workspace; [reference] is per pair per AS — the list-based reference
    kernel allocates O(n) per pair by design (measured 21.4-22.1 across
    n=100..400), so only the normalized rate is scale-free.  Recorded
-   headroom is ~2x the measured steady state (scalar 210 at n=200,
-   growing ~+48 per doubling of n; batch 4.0 flat; see EXPERIMENTS.md
-   PR-10) so noise does not flake the gate while a per-pair box or
-   closure regression still trips it.  [closure] is per lane of a full
-   lane-mask closure word ({!Routing.Reach.Lanes}) on a warm workspace:
-   the passes allocate nothing, so it measures 0 at any n; a budget of
-   1 word per lane still catches a single box per AS or per edge. *)
+   headroom is ~2x the measured steady state (batch 4.0 flat; see
+   EXPERIMENTS.md PR-10) so noise does not flake the gate while a
+   per-pair box or closure regression still trips it.  [closure] is per
+   lane of a full lane-mask closure word ({!Routing.Reach.Lanes}) on a
+   warm workspace: the passes allocate nothing, so it measures 0 at any
+   n; a budget of 1 word per lane still catches a single box per AS or
+   per edge. *)
 let default_budgets =
-  { scalar = 512.0; batch = 8.0; reference = 44.0; closure = 1.0 }
+  { batch = 8.0; reference = 44.0; closure = 1.0 }
 
 let dep_mixed n =
   Deployment.of_modes
@@ -101,33 +101,6 @@ let analyze ?(pairs = 24) ?tamper ?taint ~seed g policies =
     let diags = ref [] in
     let add d = diags := !diags @ [ d ] in
 
-    (* --- scalar engine ---------------------------------------------- *)
-    let ws = E.Workspace.create 0 in
-    let run_scalar (dst, attacker) =
-      ignore (E.compute ~ws g policy dep ~dst ~attacker)
-    in
-    run_scalar sample.(0);
-    (* warm: sizes the workspace *)
-    let delta =
-      measure (fun () ->
-          Array.iter
-            (fun p ->
-              run_scalar p;
-              match tamper with Some f -> f () | None -> ())
-            sample)
-    in
-    items := !items + k;
-    let wpp = delta /. float_of_int k in
-    if wpp > default_budgets.scalar then
-      add (over ~kernel:"scalar" ~wpp ~budget:default_budgets.scalar ());
-    (let dst, attacker = sample.(0) in
-     let got = E.compute ~ws g policy dep ~dst ~attacker in
-     let want = E.compute g policy dep ~dst ~attacker in
-     incr items;
-     match Kernel.mismatch ~want ~got () with
-     | None -> ()
-     | Some detail -> add (identity_diag ~kernel:"scalar" detail));
-
     (* --- batched engine --------------------------------------------- *)
     let lanes = min B.max_lanes (n - 1) in
     let dst0, _ = sample.(0) in
@@ -139,8 +112,15 @@ let analyze ?(pairs = 24) ?tamper ?taint ~seed g policies =
       ignore (B.compute ~ws:bws g policy dep ~dst:dst0 ~attackers)
     in
     run_batch ();
+    (* warm: sizes the workspace *)
     let reps = max 1 (k / 4) in
-    let bdelta = measure (fun () -> for _ = 1 to reps do run_batch () done) in
+    let bdelta =
+      measure (fun () ->
+          for _ = 1 to reps do
+            run_batch ();
+            match tamper with Some f -> f () | None -> ()
+          done)
+    in
     items := !items + (reps * lanes);
     let bwpp = bdelta /. float_of_int (reps * lanes) in
     if bwpp > default_budgets.batch then

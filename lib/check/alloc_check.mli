@@ -1,10 +1,9 @@
 (** Runtime allocation gate (`sbgp check --alloc`).
 
     Measures [Gc.minor_words] per (destination, attacker) pair for the
-    scalar, batched and reference kernels, and per lane for a full word
-    of lane-mask closures ({!Routing.Reach.Lanes}), with reused
-    workspaces, and
-    compares against recorded budgets; every measured loop is
+    batched and reference kernels, and per lane for a full word of
+    lane-mask closures ({!Routing.Reach.Lanes}), with reused
+    workspaces, and compares against recorded budgets; every measured loop is
     identity-gated against fresh-buffer computation, and a cold-vs-warm
     probe of the shared metric cache demands bit-identical [H].  This is
     the dynamic complement of the static ast/hot-alloc and
@@ -25,5 +24,5 @@ val analyze :
   int * Diagnostic.t list
 (** [analyze ~seed g policies] returns [(items, diags)].  Runs
     single-domain; the first policy drives the measurement.  [tamper] is
-    invoked once per measured scalar pair and [taint] rewrites the warm
+    invoked once per measured batch solve and [taint] rewrites the warm
     cache-probe result — both exist for the false-negative mutants. *)

@@ -1,6 +1,7 @@
 module D = Diagnostic
 module O = Routing.Outcome
 module E = Routing.Engine
+module B = Routing.Batch
 
 type config = { domains : int; reuse_ws : bool }
 
@@ -54,7 +55,7 @@ let digest out =
 
 let run_config ~compute g policy dep pairs cfg =
   let worker (dst, attacker) =
-    let ws = if cfg.reuse_ws then Some (E.Workspace.local ()) else None in
+    let ws = if cfg.reuse_ws then Some (B.Workspace.local ()) else None in
     digest (compute ~ws g policy dep ~dst ~attacker)
   in
   if cfg.domains <= 1 then Array.map worker pairs
@@ -120,7 +121,7 @@ let replay_detail ~compute g policy dep pairs cfg i =
        for j = 0 to i do
          let dst, attacker = pairs.(j) in
          let ws =
-           if cfg.reuse_ws then Some (E.Workspace.local ()) else None
+           if cfg.reuse_ws then Some (B.Workspace.local ()) else None
          in
          let got = compute ~ws g policy dep ~dst ~attacker in
          if j = i then begin

@@ -1,8 +1,8 @@
 (** Parallel-determinism analyzer — pass 3 of [sbgp check].
 
-    The engine promises bit-identical outcomes regardless of how the work
+    The routing kernel promises bit-identical outcomes however the work
     is scheduled: over any number of domains, and with or without
-    {!Routing.Engine.Workspace} buffer reuse.  This pass checks the
+    {!Routing.Batch.Workspace} buffer reuse.  This pass checks the
     promise empirically by replaying the same batch of (destination,
     attacker) pairs under several configurations and comparing a
     per-outcome digest against the sequential fresh-buffer baseline.
@@ -17,7 +17,7 @@
 type config = {
   domains : int;  (** total domains applied to the batch; 1 = sequential *)
   reuse_ws : bool;
-      (** reuse each domain's private {!Routing.Engine.Workspace}
+      (** reuse each domain's private {!Routing.Batch.Workspace}
           instead of allocating fresh buffers per computation *)
 }
 
@@ -35,7 +35,7 @@ val analyze :
   ?attacker_claim:int ->
   ?configs:config list ->
   ?compute:
-    (ws:Routing.Engine.Workspace.t option ->
+    (ws:Routing.Batch.Workspace.t option ->
     Topology.Graph.t ->
     Routing.Policy.t ->
     Deployment.t ->

@@ -62,7 +62,7 @@ let analyze ?pool ?(steps = 3) ~seed ~pairs g policies =
           (fun step dep ->
             let agg = M.Evaluator.eval ev dep in
             let vals = M.Evaluator.values ev in
-            let ws = Routing.Engine.Workspace.local () in
+            let ws = Routing.Batch.Workspace.local () in
             Array.iteri
               (fun i p ->
                 incr items;

@@ -2,6 +2,7 @@ module D = Diagnostic
 module O = Routing.Outcome
 module P = Routing.Policy
 module E = Routing.Engine
+module B = Routing.Batch
 module R = Routing.Reference
 module S = Routing.Staged
 
@@ -53,7 +54,7 @@ let mismatch ?parents ~want ~got () =
 let tb_name = function E.Bounds -> "bounds" | E.Lowest_next_hop -> "lnh"
 
 let analyze ?(attacker_claim = 1) g policies dep pairs =
-  let ws = E.Workspace.create 0 in
+  let ws = B.Workspace.create 0 in
   let rws = R.Workspace.create 0 in
   let items = ref 0 in
   let diags = ref [] in
@@ -69,7 +70,7 @@ let analyze ?(attacker_claim = 1) g policies dep pairs =
       @ [
           D.error ~rule:"kernel/divergence" ~subjects
             (Printf.sprintf
-               "packed engine (%s) disagrees with %s [%s, %s tiebreak, dst \
+               "packed kernel (%s) disagrees with %s [%s, %s tiebreak, dst \
                 %d, %s, claim %d]: %s"
                (fst engine) (snd engine) (P.name policy) (tb_name tiebreak)
                dst attacker_s attacker_claim detail);
@@ -96,8 +97,6 @@ let analyze ?(attacker_claim = 1) g policies dep pairs =
                 ~engine:("fresh buffers", "the reference kernel")
                 (E.compute ~tiebreak ~attacker_claim g policy dep ~dst
                    ~attacker);
-              (* The reused-workspace outcome is invalidated by the next
-                 checkout from [ws], so it is compared eagerly. *)
               check
                 ~engine:("reused workspace", "the reference kernel")
                 (E.compute ~tiebreak ~attacker_claim ~ws g policy dep ~dst
@@ -116,8 +115,6 @@ let analyze ?(attacker_claim = 1) g policies dep pairs =
     policies;
   (!items, !diags)
 
-module B = Routing.Batch
-
 (* The scalar side of a divergence report, in the packed word's
    vocabulary so both lanes read alike. *)
 let describe_scalar out v =
@@ -132,7 +129,7 @@ let describe_group b ~v ~lane =
   | None -> "no group (lane unreached)"
   | Some (mask, word, parent) ->
       Printf.sprintf "group mask=%#x parent=%d %s" mask parent
-        (E.Packed.describe word)
+        (B.Packed.describe word)
 
 (* Batched-divergence sub-pass: every lane of every batched solve is
    decoded and compared field-by-field against a scalar Reference solve

@@ -4,8 +4,11 @@
     implementations of route computation and demands bit-identical
     outcomes:
 
-    - {!Routing.Engine.compute} — the packed CSR production kernel,
-      exercised both with fresh buffers and with a reused workspace;
+    - {!Routing.Batch.compute} — the packed CSR production kernel, one
+      lane through {!Routing.Engine.compute} (the attacker-free lane
+      for pairs without an attacker), exercised both with fresh buffers
+      and with a reused workspace, and every lane of whole words
+      ({!analyze_batch});
     - {!Routing.Reference.compute} — the pre-change kernel, preserved
       verbatim;
     - {!Routing.Staged.compute} — the Appendix-B executable

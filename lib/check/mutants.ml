@@ -310,9 +310,10 @@ let alloc_graph () =
 
 let alloc_site_dropped () =
   (* Emulates a per-pair allocation regression the static A9 walk
-     cannot see (introduced by inlining, say): every measured scalar
-     pair allocates ~1k minor words on the side.  Blocks stay under
-     Max_young_wosize so they land in the minor heap. *)
+     cannot see (introduced by inlining, say): every measured batch
+     solve allocates ~1k minor words on the side, ~90 per lane of the
+     gadget's 11-lane word.  Blocks stay under Max_young_wosize so they
+     land in the minor heap. *)
   let tamper () =
     for _ = 1 to 8 do
       ignore (Sys.opaque_identity (Array.make 128 0))
@@ -459,7 +460,7 @@ let all =
       name = "alloc-site-dropped";
       expected_rule = "alloc/minor-budget";
       description =
-        "every measured scalar pair allocates ~1k minor words on the \
+        "every measured batch solve allocates ~1k minor words on the \
          side, emulating a regression the static A9 walk cannot see";
       run = alloc_site_dropped;
     };

@@ -179,7 +179,7 @@ let delta_pass ~seed ~pairs ~steps g policies =
           ignore (M.Replay.step rp delta);
           let g' = M.Replay.graph rp in
           let vals = M.Replay.values rp in
-          let ws = Routing.Engine.Workspace.local () in
+          let ws = Routing.Batch.Workspace.local () in
           Array.iteri
             (fun i p ->
               incr items;

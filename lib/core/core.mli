@@ -4,9 +4,10 @@
     available for finer-grained dependencies.
 
     Start with {!Topogen.generate} (or {!Serial.load_remapped}, the CLI's
-    loader, for real data), then
-    {!Engine.compute} for a single routing outcome, {!Metric.h_metric} for
-    the paper's security metric, {!Partition.counts} for the
+    loader, for real data), then {!Engine.compute} for a single routing
+    outcome ({!Batch.compute}, the one routing kernel, for many attackers
+    of one destination at once), {!Metric.h_metric} for the paper's
+    security metric, {!Partition.counts} for the
     deployment-invariant bounds, and {!Check.run} to audit any of it. *)
 
 module Bucket_queue = Prelude.Bucket_queue

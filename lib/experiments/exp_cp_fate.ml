@@ -7,13 +7,43 @@ let name = "cp-fate"
 let title = "Figure 13: fate of secure routes to content providers"
 let paper = "Figure 13; Section 5.3.1"
 
+(* Per CP, one {!Metric.Phenomena.sum} over the sampled attackers:
+   "lost to downgrade" is [downgraded]; of the secure routes kept,
+   those of immune sources are [wasted] (Corollary E.1: under security
+   3rd a source is immune exactly when its S = {} route leads to the
+   destination only, i.e. it is happy there), the rest [protecting].
+   An attacker that is the CP itself is no sample; when it was the only
+   one, the CP's normal state is solved on its own.  The CPs fan out
+   over the pool. *)
 let run_policy (ctx : Context.t) policy =
   let dep = Deployment.tier1_and_stubs ~with_cps:true ctx.graph ctx.tiers in
   let attackers =
     Context.sample ctx "cpfate-att" ctx.non_stubs (Context.scaled ctx 30)
   in
   let n = Topology.Graph.n ctx.graph in
-  let pool = Context.pool ctx in
+  let fate dst =
+    let pairs =
+      Array.of_list
+        (List.filter_map
+           (fun attacker ->
+             if attacker = dst then None
+             else Some { Metric.H_metric.attacker; dst })
+           (Array.to_list attackers))
+    in
+    let t = List.hd (Metric.Phenomena.sum ctx.graph [ policy ] dep pairs) in
+    if Array.length pairs > 0 then (t.secure_by_dst, t)
+    else begin
+      let normal =
+        Routing.Engine.compute ~ws:(Routing.Batch.Workspace.local ())
+          ctx.graph policy dep ~dst ~attacker:None
+      in
+      let c = ref 0 in
+      for v = 0 to n - 1 do
+        if v <> dst && Routing.Outcome.secure normal v then incr c
+      done;
+      (!c, t)
+    end
+  in
   let table =
     Prelude.Table.create
       ~header:
@@ -26,63 +56,17 @@ let run_policy (ctx : Context.t) policy =
         ]
   in
   Array.iteri
-    (fun cp_index dst ->
-      (* [normal] is shared read-only by every worker below, so it must
-         not live in any domain's reusable workspace. *)
-      let normal =
-        Routing.Engine.compute ctx.graph policy dep ~dst ~attacker:None
-      in
-      let secure_normal = ref 0 in
-      for v = 0 to n - 1 do
-        if v <> dst && Routing.Outcome.secure normal v then incr secure_normal
-      done;
-      let per_attacker =
-        Parallel.map ~pool
-          (fun attacker ->
-            if attacker = dst then (0, 0, 0, 0)
-            else begin
-              let ws = Routing.Engine.Workspace.local () in
-              (* [classes] is materialized into a fresh array, so it is
-                 safe to recycle [ws] for [attack] afterwards. *)
-              let classes =
-                Metric.Partition.compute ~ws ctx.graph policy ~attacker ~dst
-              in
-              let attack =
-                Routing.Engine.compute ~ws ctx.graph policy dep ~dst
-                  ~attacker:(Some attacker)
-              in
-              let downgraded = ref 0
-              and kept_immune = ref 0
-              and kept_other = ref 0 in
-              for v = 0 to n - 1 do
-                if v <> dst && v <> attacker && Routing.Outcome.secure normal v
-                then
-                  if not (Routing.Outcome.secure attack v) then incr downgraded
-                  else if classes.(v) = Metric.Partition.Immune then
-                    incr kept_immune
-                  else incr kept_other
-              done;
-              (1, !downgraded, !kept_immune, !kept_other)
-            end)
-          attackers
-      in
-      let samples, downgraded, kept_immune, kept_other =
-        Array.fold_left
-          (fun (s, d, ki, ko) (s', d', ki', ko') ->
-            (s + s', d + d', ki + ki', ko + ko'))
-          (0, 0, 0, 0) per_attacker
-      in
-      let sources = float_of_int ((n - 2) * samples) in
-      let frac x = float_of_int x /. sources in
+    (fun cp_index (secure, (t : Metric.Phenomena.t)) ->
+      let frac x = float_of_int x /. float_of_int t.sources in
       Prelude.Table.add_row table
         [
-          Printf.sprintf "CP%d (AS %d)" (cp_index + 1) dst;
-          Util.pct (float_of_int !secure_normal /. float_of_int (n - 1));
-          Util.pct (frac downgraded);
-          Util.pct (frac kept_immune);
-          Util.pct (frac kept_other);
+          Printf.sprintf "CP%d (AS %d)" (cp_index + 1) ctx.cps.(cp_index);
+          Util.pct (float_of_int secure /. float_of_int (n - 1));
+          Util.pct (frac t.downgraded);
+          Util.pct (frac t.wasted);
+          Util.pct (frac t.protecting);
         ])
-    ctx.cps;
+    (Parallel.map ~pool:(Context.pool ctx) ~chunk:1 fate ctx.cps);
   table
 
 let run (ctx : Context.t) =

@@ -38,7 +38,7 @@ val pairs :
     [max_pairs] ([rng] required in that case). *)
 
 val pair_bounds :
-  ?ws:Routing.Engine.Workspace.t ->
+  ?ws:Routing.Batch.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Deployment.t ->

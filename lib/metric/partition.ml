@@ -506,9 +506,9 @@ let kind c = c lsr 6
 let target c = c land 63
 
 let code_of_word ~k word =
-  let len = Routing.Engine.Packed.len_of word in
+  let len = Routing.Batch.Packed.len_of word in
   let t = if len <= k then len else k + 1 in
-  match Routing.Engine.Packed.cls_code_of word with
+  match Routing.Batch.Packed.cls_code_of word with
   | 0 -> (1 lsl 6) lor t
   | 1 -> (2 lsl 6) lor t
   | 2 -> 3 lsl 6
@@ -636,10 +636,10 @@ let sec3_counts_by ?pool ?cache g policy gr pairs =
       set_word ws ~dst attackers;
       Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
           let i = gr.gidx.(v) in
-          if i >= 0 && Routing.Engine.Packed.cls_code_of word <> 3 then
+          if i >= 0 && Routing.Batch.Packed.cls_code_of word <> 3 then
             tally ws i
-              ~d_ok:(if Routing.Engine.Packed.to_d_of word then mask else 0)
-              ~m_ok:(if Routing.Engine.Packed.to_m_of word then mask else 0));
+              ~d_ok:(if Routing.Batch.Packed.to_d_of word then mask else 0)
+              ~m_ok:(if Routing.Batch.Packed.to_m_of word then mask else 0));
       read_word ws gr ~lanes:(Array.length attackers))
 
 let validate g pairs =

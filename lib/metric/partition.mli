@@ -56,7 +56,7 @@ val fractions : counts -> float * float * float
 (** (doomed+unreachable, protectable, immune) as fractions of sources. *)
 
 val compute :
-  ?ws:Routing.Engine.Workspace.t ->
+  ?ws:Routing.Batch.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   attacker:int ->
@@ -65,11 +65,11 @@ val compute :
 (** Per-source classification; the attacker's and destination's own slots
     are [Unreachable] and must be ignored by callers.  LPk policies under
     security 2nd require an acyclic customer-provider hierarchy and raise
-    [Failure] otherwise.  [ws] reuses the given engine workspace for the
+    [Failure] otherwise.  [ws] reuses the given kernel workspace for the
     internal baseline computation (see {!Routing.Engine.compute}). *)
 
 val count :
-  ?ws:Routing.Engine.Workspace.t ->
+  ?ws:Routing.Batch.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   attacker:int ->
@@ -77,7 +77,7 @@ val count :
   counts
 
 val count_by :
-  ?ws:Routing.Engine.Workspace.t ->
+  ?ws:Routing.Batch.Workspace.t ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   attacker:int ->

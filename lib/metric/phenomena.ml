@@ -10,6 +10,7 @@ type t = {
   happy_dep : int;
   exempt : int;
   exempt_lost : int;
+  secure_by_dst : int;
 }
 
 let zero =
@@ -25,6 +26,7 @@ let zero =
     happy_dep = 0;
     exempt = 0;
     exempt_lost = 0;
+    secure_by_dst = 0;
   }
 
 let add a b =
@@ -40,6 +42,7 @@ let add a b =
     happy_dep = a.happy_dep + b.happy_dep;
     exempt = a.exempt + b.exempt;
     exempt_lost = a.exempt_lost + b.exempt_lost;
+    secure_by_dst = a.secure_by_dst + b.secure_by_dst;
   }
 
 (* Per AS, a lane mask: bit [l] speaks of the pair whose attacker sits
@@ -71,10 +74,25 @@ let fill_lanes b ~n ~secure ~happy =
   Array.fill secure 0 n 0;
   Array.fill happy 0 n 0;
   Routing.Batch.iter_fixed b (fun ~v ~mask ~word ~parent:_ ->
-      let open Routing.Engine.Packed in
+      let open Routing.Batch.Packed in
       if secure_of word then secure.(v) <- secure.(v) lor mask;
       if to_d_of word && not (to_m_of word) then
         happy.(v) <- happy.(v) lor mask)
+
+(* The attacker-free state toward [dst], read off the one lane of an
+   empty word: per AS, whether its route is secure, and its
+   representative next hop (-1 at the destination and unreached ASes).
+   Copied out of the groups, so the words that follow may reuse [ws]. *)
+type normal = { secure : bool array; hop : int array }
+
+let normal_state ~ws g policy dep ~n ~dst =
+  let secure = Array.make n false and hop = Array.make n (-1) in
+  Routing.Batch.iter_fixed
+    (Routing.Batch.compute ~ws g policy dep ~dst ~attackers:[||])
+    (fun ~v ~mask:_ ~word ~parent ->
+      secure.(v) <- Routing.Batch.Packed.secure_of word;
+      hop.(v) <- parent);
+  { secure; hop }
 
 (* [through.(v)] is [own.(v)] or'ed with its normal next hop's set: the
    lanes whose attacker lies on [v]'s representative normal path.  Each
@@ -85,7 +103,7 @@ let mark_through s normal ~n =
     if v < 0 then 0
     else if s.known.(v) then s.through.(v)
     else begin
-      let t = s.own.(v) lor mark (Routing.Outcome.next_hop normal v) in
+      let t = s.own.(v) lor mark normal.hop.(v) in
       s.through.(v) <- t;
       s.known.(v) <- true;
       t
@@ -93,39 +111,50 @@ let mark_through s normal ~n =
   in
   for v = 0 to n - 1 do ignore (mark v) done
 
-(* Classify every (lane, source) of one word under one policy: each
-   field reads as its definition in the interface.  [normal = None]
-   holds no secure route. *)
+(* Classify every (lane, source) of one word under one policy, in one
+   pass over the ASes: each field reads as its definition in the
+   interface.  [normal = None] holds no secure route. *)
 let classify s dep normal ~n ~dst ~lanes =
   let all = if lanes >= Routing.Batch.max_lanes then -1 else (1 lsl lanes) - 1 in
-  let count f =
-    let c = ref 0 in
-    for v = 0 to n - 1 do
-      if v <> dst then c := !c + Prelude.Bitset.popcount_word (f v)
-    done;
-    !c
-  in
-  let src v = all land lnot s.own.(v) in
-  let sn v =
-    match normal with
-    | Some o when Routing.Outcome.secure o v -> src v
-    | Some _ | None -> 0
-  in
-  let sa v = s.sec.(v) and th v = s.through.(v) in
-  let hb v = s.base.(v) land src v and hd v = s.hap.(v) land src v in
-  let insecure v = if Deployment.is_full dep v then 0 else src v in
+  let secure_normal = ref 0 and downgraded = ref 0 and wasted = ref 0 in
+  let protecting = ref 0 and benefit = ref 0 and damage = ref 0 in
+  let happy_base = ref 0 and happy_dep = ref 0 in
+  let exempt = ref 0 and exempt_lost = ref 0 in
+  let count c lanes = c := !c + Prelude.Bitset.popcount_word lanes in
+  for v = 0 to n - 1 do
+    if v <> dst then begin
+      let src = all land lnot s.own.(v) in
+      let sn =
+        match normal with Some nm when nm.secure.(v) -> src | Some _ | None -> 0
+      in
+      let sa = s.sec.(v) and th = s.through.(v) in
+      let hb = s.base.(v) land src and hd = s.hap.(v) land src in
+      let insecure = if Deployment.is_full dep v then 0 else src in
+      count secure_normal sn;
+      count downgraded (sn land lnot sa);
+      count wasted (sn land sa land hb);
+      count protecting (sn land sa land lnot hb);
+      count benefit (insecure land hd land lnot hb);
+      count damage (insecure land hb land lnot hd);
+      count happy_base hb;
+      count happy_dep hd;
+      count exempt (sn land th);
+      count exempt_lost (sn land th land lnot sa)
+    end
+  done;
   {
     sources = lanes * (n - 2);
-    secure_normal = count sn;
-    downgraded = count (fun v -> sn v land lnot (sa v));
-    wasted = count (fun v -> sn v land sa v land hb v);
-    protecting = count (fun v -> sn v land sa v land lnot (hb v));
-    benefit = count (fun v -> insecure v land hd v land lnot (hb v));
-    damage = count (fun v -> insecure v land hb v land lnot (hd v));
-    happy_base = count hb;
-    happy_dep = count hd;
-    exempt = count (fun v -> sn v land th v);
-    exempt_lost = count (fun v -> sn v land th v land lnot (sa v));
+    secure_normal = !secure_normal;
+    downgraded = !downgraded;
+    wasted = !wasted;
+    protecting = !protecting;
+    benefit = !benefit;
+    damage = !damage;
+    happy_base = !happy_base;
+    happy_dep = !happy_dep;
+    exempt = !exempt;
+    exempt_lost = !exempt_lost;
+    secure_by_dst = 0;
   }
 
 let same_lp (a : Routing.Policy.t) (b : Routing.Policy.t) =
@@ -155,15 +184,24 @@ let sum ?pool g policies dep pairs =
        nor deployment changes a state (as the metric cache keys it): the
        attack with S is the one with S = {}, and no normal route counts. *)
     let signs = Deployment.signs_origin dep dst in
+    let s = scratch n and ws = Routing.Batch.Workspace.local () in
     let normals =
       Array.map
         (fun p ->
-          if signs then Some (Routing.Engine.compute g p dep ~dst ~attacker:None)
-          else None)
+          if signs then Some (normal_state ~ws g p dep ~n ~dst) else None)
         policies
     in
-    let acc = Array.make (Array.length policies) zero in
-    let s = scratch n and ws = Routing.Batch.Workspace.local () in
+    let acc =
+      Array.map
+        (fun normal ->
+          let c = ref 0 in
+          Option.iter
+            (fun nm ->
+              Array.iteri (fun v sec -> if v <> dst && sec then incr c) nm.secure)
+            normal;
+          { zero with secure_by_dst = !c })
+        normals
+    in
     List.iter
       (fun attackers ->
         let lanes = Array.length attackers in

@@ -37,6 +37,10 @@ type t = {
   exempt : int;
       (** secure normal routes whose representative path runs through [m] *)
   exempt_lost : int;  (** of those, insecure under attack *)
+  secure_by_dst : int;
+      (** sources with a secure route under normal conditions, counted
+          once per destination of the pairs, not per pair: [n - 1]
+          sources each *)
 }
 
 val sum :
@@ -48,9 +52,9 @@ val sum :
   t list
 (** [sum g policies dep pairs] is, for each policy in order, the
     classification summed over every pair and source.  The pairs of a
-    destination share one attacker-free {!Routing.Engine} solve per
-    policy, and their attacked states come from the {!Routing.Batch}
-    words of {!H_metric.batch_plan}: one word per policy for [S], and
+    destination share one attacker-free solve per policy, and their
+    attacked states come from the {!Routing.Batch} words of
+    {!H_metric.batch_plan}: one word per policy for [S], and
     one for [S = {}], which no security model can tell apart, shared by
     consecutive policies of one local-preference variant.  [pool] fans
     the destinations out; the counts are integer sums, the same

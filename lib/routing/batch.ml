@@ -1,28 +1,32 @@
-(* Destination-major batched stable-state kernel.
+(* Destination-major batched stable-state kernel: the one production
+   routing solver.
 
    For a fixed destination d the legitimate routing tree is the same for
    every attacker; only the bogus one-hop "m d" announcement differs.
-   This kernel runs {!Engine}'s label-setting computation once per
-   destination for up to {!max_lanes} attackers at a time: attacker l is
-   "lane" l, a bit in a native-int word (63 usable bits — an OCaml
-   immediate int, matching {!Prelude.Bitset.word_bits}).
+   This kernel runs the label-setting computation once per destination
+   for up to {!max_lanes} attackers at a time: attacker l is "lane" l, a
+   bit in a native-int word (63 usable bits — an OCaml immediate int,
+   matching {!Prelude.Bitset.word_bits}).  An empty attacker array
+   solves one attacker-free lane: normal conditions.
 
+   A lane's candidate state is one packed word per AS ({!Packed}),
+   ordered by the preference rank in its top bits, with a parent.
    Per-lane candidate state would cost 63 rank compares per edge and
    erase the sharing.  Instead each AS holds a small set of {e groups}
    [(mask, word, parent)]: [mask] is the set of lanes in the group,
-   [word] is exactly the scalar kernel's packed candidate
-   ({!Engine.Packed}), [parent] the shared representative next hop.
-   Group masks are pairwise disjoint and every lane sits in at most one
-   group, so an AS has at most 63 of them — and far from the attackers'
-   influence the whole word stays in one monolithic group, which is
-   where the batching wins: one CSR row scan, one rank compare and one
-   queue push serve all 63 attackers at once.
+   [word] the lanes' shared packed candidate, [parent] the shared
+   representative next hop.  Group masks are pairwise disjoint and
+   every lane sits in at most one group, so an AS has at most 63 of
+   them — and far from the attackers' influence the whole word stays in
+   one monolithic group, which is where the batching wins: one CSR row
+   scan, one rank compare and one queue push serve all 63 attackers at
+   once.
 
-   Every per-group operation is literally the scalar operation applied
-   to a lane set:
+   Every per-group operation is the one-lane operation applied to a
+   lane set:
 
    - relax: lanes whose group has a worse rank move to a freshly
-     appended winner group; equal ranks merge with the scalar tiebreak
+     appended winner group; equal ranks merge with the tiebreak
      (Bounds: or the endpoint flags, keep the minimum parent; LNH:
      replace when the offered parent is strictly smaller) — splitting
      the group when only part of it ties; better ranks ignore the offer.
@@ -31,23 +35,59 @@
      (at most three CSR scans per AS per rank level, instead of one per
      attacker).
 
-   Bit-identity with the scalar kernel rests on two properties of the
-   rank encoding, both property-tested elsewhere: ranks are injective on
-   (class, length, security), so all groups popped at one rank share
-   every decoded field; and ranks are strictly monotone along route
+   Per-lane correctness rests on two properties of the rank encoding,
+   both property-tested elsewhere: ranks are injective on (class,
+   length, security), so all groups popped at one rank share every
+   decoded field; and ranks are strictly monotone along route
    extensions, so all rank-r offers exist before the first rank-r pop
    (the queue is a monotone bucket queue) and equal-rank merge order is
-   irrelevant because both tiebreaks are order-independent. *)
+   irrelevant because both tiebreaks are order-independent.  Each lane
+   is bit-identical to the {!Reference} kernel solving its attacker
+   alone. *)
 
-module Packed = Engine.Packed
+type tiebreak = Bounds | Lowest_next_hop
+
+(* Packed candidate state, one int per lane group (layout in the
+   interface).  Because the rank is injective on (cls, len, secure) and
+   sits above every other field, ordering two candidates by preference
+   is a shift and an int test, and a Bounds merge is one [lor] — see
+   {!Reference} for the seven-array layout this replaced.  The rank
+   bound is O(max_len) for every model and LP variant (Policy.max_rank),
+   so 34 rank bits dwarf any graph that fits the 24 length bits. *)
+module Packed = struct
+  let to_m_flag = 1
+  let to_d_flag = 2
+  let secure_flag = 4
+  let cls_shift = 3
+  let len_shift = 5
+  let len_mask = (1 lsl 24) - 1
+  let rank_shift = len_shift + 24
+
+  let pack ~rank ~cls_code ~len ~secure ~flags =
+    (rank lsl rank_shift)
+    lor (len lsl len_shift)
+    lor (cls_code lsl cls_shift)
+    lor (if secure then secure_flag else 0)
+    lor flags
+
+  let len_of w = (w lsr len_shift) land len_mask
+  let cls_code_of w = (w lsr cls_shift) land 3
+  let secure_of w = w land secure_flag <> 0
+  let to_d_of w = w land to_d_flag <> 0
+  let to_m_of w = w land to_m_flag <> 0
+
+  let describe w =
+    Printf.sprintf "rank=%d cls=%d len=%d secure=%b to_d=%b to_m=%b"
+      (w lsr rank_shift) (cls_code_of w) (len_of w) (secure_of w) (to_d_of w)
+      (to_m_of w)
+end
 
 let max_lanes = Prelude.Bitset.word_bits
 
 module Workspace = struct
-  (* Same epoch-stamp discipline as {!Engine.Workspace}: per-AS state
-     ([fixed] lane mask, group count) is live only when
-     [stamp.(v) = epoch], so reuse costs O(1) plus one clear of the
-     [touched] set (O(n / 63)).
+  (* Epoch-stamp discipline: per-AS state ([fixed] lane mask, group
+     count) is live only when [stamp.(v) = epoch], so reuse costs O(1)
+     plus one clear of the [touched] set (O(n / 63)).
 
      The group slabs [gmask]/[gword]/[gparent] are plane-major: group
      [i] of AS [v] sits at [i * cap + v], so plane [i] holds the [i]-th
@@ -147,7 +187,8 @@ type t = {
   n : int;
   b_dst : int;
   b_lanes : int;
-  b_attackers : int array; (* length = b_lanes; lane l's attacker *)
+  b_attackers : int array;
+      (* lane l's attacker; empty for the one attacker-free lane *)
   ws : Workspace.t; (* owns the frozen group state *)
   epoch : int; (* result valid while ws.epoch = epoch *)
 }
@@ -158,15 +199,16 @@ let live t =
 
 let all_mask ~lanes = if lanes >= max_lanes then -1 else (1 lsl lanes) - 1
 
-let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
+let compute ?(tiebreak = Bounds) ?(attacker_claim = 1) ?ws g policy dep
     ~dst ~attackers =
   if attacker_claim < 0 then invalid_arg "Batch.compute: attacker_claim < 0";
   let n = Topology.Graph.n g in
-  let nlanes = Array.length attackers in
-  if nlanes < 1 || nlanes > max_lanes then
+  if Array.length attackers > max_lanes then
     invalid_arg
-      (Printf.sprintf "Batch.compute: lane count %d outside 1..%d" nlanes
-         max_lanes);
+      (Printf.sprintf "Batch.compute: lane count %d outside 0..%d"
+         (Array.length attackers) max_lanes);
+  (* No attacker still solves one lane: the normal state. *)
+  let nlanes = max 1 (Array.length attackers) in
   let check v name =
     if v < 0 || v >= n then
       invalid_arg (Printf.sprintf "Batch.compute: %s %d out of range" name v)
@@ -219,7 +261,7 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
     Array.unsafe_set gcnt w (c + 1)
   in
   (* Offer (cls, len, secure, flags) via next hop [u] to the lanes in
-     [mask] at AS [w] — the scalar relax applied group-wise.  Lanes
+     [mask] at AS [w] — one lane's relax applied group-wise.  Lanes
      whose group loses the rank compare collect in [winners] and join
      the fresh lanes (no group yet) in one newly appended group.
      The scratch refs are hoisted to solve scope: [relax] runs once per
@@ -270,7 +312,7 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
             else begin
               (if r = cur then
                  match tiebreak with
-                 | Engine.Bounds ->
+                 | Bounds ->
                      (* Same rank implies same class/length/security;
                         accumulate endpoint flags, keep the lowest
                         representative hop — updating in place when the
@@ -288,7 +330,7 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
                          Bigarray.Array1.unsafe_set gmask gi (gm lxor inter);
                          append w ~mask:inter ~word:nw ~parent:np
                        end
-                 | Engine.Lowest_next_hop ->
+                 | Lowest_next_hop ->
                      if u < Bigarray.Array1.unsafe_get gparent gi then begin
                        let nw =
                          gw
@@ -318,7 +360,12 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
       end
     end
   in
-  (* Identical export walk to the scalar kernel, for a lane set. *)
+  (* Propagate a fixed route to the neighbors of [u] for the lanes in
+     [mask], respecting Ex: one linear scan over the AS's CSR row, the
+     offered class decided by the segment boundary the index has
+     crossed.  Customers of u always learn u's route (a provider route
+     at them); peers and providers only when u's own route is a
+     customer route (or u is a root). *)
   let expand u ~mask ~cls_code ~len ~secure ~flags ~exports_everywhere =
     let signed = secure in
     let len1 = len + 1 in
@@ -350,7 +397,10 @@ let compute ?(tiebreak = Engine.Bounds) ?(attacker_claim = 1) ?ws g policy dep
   in
   (* Roots: the destination is fixed for every lane; each attacker only
      for its own lane (in the other lanes it is an ordinary AS).  Root
-     groups carry cls 3 in the word, like the scalar Outcome. *)
+     groups carry cls 3 in the word.  The destination's announcement is
+     signed when it deploys full or simplex S*BGP; the attacker's bogus
+     one is plain BGP with the claimed path length (1 for the paper's
+     "m d"). *)
   let every = all_mask ~lanes:nlanes in
   let signs = Deployment.signs_origin dep dst in
   touch dst;
@@ -493,7 +543,10 @@ let groups t =
 let decode ?into t ~lane =
   live t;
   if lane < 0 || lane >= t.b_lanes then invalid_arg "Batch.decode: bad lane";
-  let attacker = Some t.b_attackers.(lane) in
+  let attacker =
+    if Array.length t.b_attackers = 0 then None
+    else Some t.b_attackers.(lane)
+  in
   let o =
     match into with
     | Some o -> Outcome.reset o ~n:t.n ~dst:t.b_dst ~attacker

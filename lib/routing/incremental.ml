@@ -187,7 +187,7 @@ module Topo = struct
     let mul = tbl.Policy.Rank_table.mul in
     let add = tbl.Policy.Rank_table.add in
     let kk = tbl.Policy.Rank_table.kk in
-    let rank_shift = Engine.Packed.rank_shift in
+    let rank_shift = Batch.Packed.rank_shift in
     let dirty = ref false in
     (* Would u's frozen state, offered over an edge that classifies as
        [cls_at_w] at [w], win, tie, or newly reach any lane at [w]? *)
@@ -205,13 +205,13 @@ module Topo = struct
           let gu = st.st_word.(!i) in
           let mu = st.st_mask.(!i) in
           incr i;
-          let cls_u = Engine.Packed.cls_code_of gu in
+          let cls_u = Batch.Packed.cls_code_of gu in
           (* Ex: customers of u always learn; peers/providers only when
              u's route is a customer route or u is a root (cls 3). *)
           if cls_at_w = 2 || cls_u = 0 || cls_u = 3 then begin
-            let len' = Engine.Packed.len_of gu + 1 in
+            let len' = Batch.Packed.len_of gu + 1 in
             if len' <= max_len then begin
-              let secure' = Engine.Packed.secure_of gu && full_w in
+              let secure' = Batch.Packed.secure_of gu && full_w in
               let j =
                 (2 * cls_at_w)
                 + (if secure' then 0 else 1)

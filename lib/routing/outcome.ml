@@ -87,8 +87,6 @@ let fix_code t v ~cls_code ~len ~secure ~to_d ~to_m ~parent =
   t.to_m.(v) <- to_m;
   t.parent.(v) <- parent
 
-let lengths t = t.length
-
 let fix_root t v ~len ~secure ~to_d ~to_m ~parent =
   t.length.(v) <- len;
   t.cls.(v) <- 3;

@@ -4,7 +4,7 @@
     Every AS that has any perceivable route is "fixed" with the abstraction
     of its best route(s): class, length, security, and where its best
     routes can lead.  When the tiebreak step TB is left unresolved
-    ([Engine.Bounds] mode), an AS whose equally-best routes lead both to
+    ([Batch.Bounds] mode), an AS whose equally-best routes lead both to
     the destination and to the attacker has [to_d] and [to_m] both set;
     the metric treats it as unhappy in the lower bound and happy in the
     upper bound (Section 4.1). *)
@@ -47,8 +47,8 @@ val happy_ub : t -> int -> bool
 val next_hop : t -> int -> int
 (** Representative next hop ([-1] for the destination or unreached ASes;
     the destination for the attacker, reflecting the bogus claimed edge).
-    In [Engine.Lowest_next_hop] mode this is the unique chosen next hop;
-    in [Engine.Bounds] mode it is the lowest-numbered next hop among the
+    In [Batch.Lowest_next_hop] mode this is the unique chosen next hop;
+    in [Batch.Bounds] mode it is the lowest-numbered next hop among the
     equally-best routes. *)
 
 val path : t -> int -> int list
@@ -65,8 +65,7 @@ val reset : t -> n:int -> dst:int -> attacker:int option -> t
 (** Recycle the buffers of [t] for a new computation: every AS becomes
     unreached and the destination/attacker are re-pointed.  Returns [t]
     itself when its buffers are large enough, a fresh record otherwise.
-    Used by {!Engine.Workspace} reuse — the previous outcome produced
-    from the same workspace is invalidated. *)
+    Used by [Batch.decode ?into]; the previous state of [t] is lost. *)
 
 val fix :
   t ->
@@ -104,12 +103,6 @@ val fix_code :
   parent:int ->
   unit
 (** {!fix} with the class already in code form (0 customer / 1 peer /
-    2 provider) — the packed engine stores codes, not variants, so this
+    2 provider) — the packed kernel stores codes, not variants, so this
     skips a decode/re-encode round trip per fixed AS.  The code is not
     validated. *)
-
-val lengths : t -> int array
-(** The raw per-AS length array backing {!length} ([-1] = unreached);
-    may be longer than {!n} after a {!reset}.  Exposed for the engine's
-    inner loop, which tests fixedness with [unsafe_get] — owned by the
-    outcome, never mutate or retain it elsewhere. *)

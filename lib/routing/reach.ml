@@ -59,7 +59,7 @@ let compute_view (vw : Topology.Graph.view) ~root ?(avoid = -1) ?only () =
 (* The plain-graph entry point runs the same closure over the graph's own
    view: CSR-backed segment scans when the CSR is already built, table
    iteration otherwise.  Reachability is O(E) queue work either way —
-   the packed kernels ({!Engine}/{!Batch}), not these closures, are the
+   the packed kernel ({!Batch}), not these closures, is the
    unsafe-access hot path. *)
 let compute g ~root ?(avoid = -1) ?only () =
   compute_view (Topology.Graph.view g) ~root ~avoid ?only ()

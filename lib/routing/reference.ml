@@ -1,12 +1,13 @@
 (* The pre-CSR routing kernel, preserved verbatim as a differential
    baseline: seven parallel candidate arrays, per-class [Array.iter]
-   adjacency closures and a [Policy.rank] call per offered edge.  The
-   packed CSR engine ({!Engine}) must stay bit-identical to this module
-   on every input — enforced by {!Check.Kernel} and test/test_kernel.ml.
+   adjacency closures and a [Policy.rank] call per offered edge.  Every
+   lane of the packed CSR kernel ({!Batch}) must stay bit-identical to
+   this module on every input — enforced by {!Check.Kernel} and
+   test/test_kernel.ml.
    Do not optimize this file: it is the oracle, not a production
    path. *)
 
-type tiebreak = Engine.tiebreak = Bounds | Lowest_next_hop
+type tiebreak = Batch.tiebreak = Bounds | Lowest_next_hop
 
 (* Candidate bookkeeping for not-yet-fixed ASes.  Because the rank encodes
    (class, length, security) completely, all candidates of equal rank at an

@@ -10,7 +10,7 @@
     This implementation is deliberately simple and O(V^2 * deg): it rescans
     for the next AS to fix at every iteration, exactly as the paper states
     the algorithm.  It exists as an executable specification; the
-    production {!Engine} is property-tested to agree with it. *)
+    production kernel {!Batch} is property-tested to agree with it. *)
 
 val compute :
   Topology.Graph.t ->

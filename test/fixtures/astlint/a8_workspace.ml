@@ -4,7 +4,7 @@
    domain-local workspace inside the closure via DLS. *)
 
 let racy_shared n items =
-  let ws = Routing.Engine.Workspace.create n in
+  let ws = Routing.Batch.Workspace.create n in
   Parallel.map
     (fun x ->
       ignore ws;
@@ -14,7 +14,7 @@ let racy_shared n items =
 let ok_local items =
   Parallel.map
     (fun x ->
-      let ws = Routing.Engine.Workspace.local () in
+      let ws = Routing.Batch.Workspace.local () in
       ignore ws;
       x)
     items

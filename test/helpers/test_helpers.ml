@@ -167,6 +167,27 @@ let outcome_mismatch a b =
   in
   go 0
 
+(* One pair's happy-source bounds from the {!Core.Reference} kernel: an
+   oracle for [Metric.pair_bounds] and the batched metric that shares no
+   code with the production kernel.  Sources are every AS but the
+   destination and the attacker. *)
+let reference_bounds g policy dep { Core.Metric.attacker; dst } =
+  let out =
+    Core.Reference.compute g policy dep ~dst ~attacker:(Some attacker)
+  in
+  let lb = ref 0 and ub = ref 0 in
+  for v = 0 to G.n g - 1 do
+    if v <> dst && v <> attacker then begin
+      if Core.Outcome.happy_lb out v then incr lb;
+      if Core.Outcome.happy_ub out v then incr ub
+    end
+  done;
+  let sources = G.n g - 2 in
+  {
+    Core.Metric.lb = Core.Stats.fraction !lb sources;
+    ub = Core.Stats.fraction !ub sources;
+  }
+
 (* qcheck boilerplate: seed-driven properties. *)
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 

@@ -166,7 +166,7 @@ let test_capture_chain () =
     | None -> Alcotest.fail "no capture fact for ws in racy_shared"
   in
   Alcotest.(check string)
-    "workspace type head" "Routing.Engine.Workspace.t" ws.tyhead;
+    "workspace type head" "Routing.Batch.Workspace.t" ws.tyhead;
   Alcotest.(check bool)
     "chain ends in the Parallel.map lambda" true
     (match List.rev ws.c_lambdas with

@@ -384,7 +384,7 @@ let attacker_inside_s =
 let ws_reuse_after_larger_graph () =
   (* A workspace sized for a big graph must still compute small graphs
      exactly (stale slots beyond n must not leak in). *)
-  let ws = E.Workspace.create 64 in
+  let ws = Core.Batch.Workspace.create 64 in
   let big = graph 8 [ c2p 1 0; c2p 2 1; c2p 3 2; c2p 4 3; c2p 5 4; c2p 6 5; c2p 7 6 ] in
   let sec3 = P.make P.Security_third in
   ignore (E.compute ~ws big sec3 (Core.Deployment.empty 8) ~dst:0 ~attacker:None);

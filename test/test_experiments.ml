@@ -223,6 +223,39 @@ let test_seed_stability () =
     true
     (abs_float (i1 -. i2) < 0.12)
 
+(* At n = 500, seed 111, scale 0.02 the one attacker [cp-fate] samples
+   is its first CP, which leaves that CP no pair: its "secure routes
+   (normal)" column must still read the CP's normal state. *)
+let test_cp_fate_lone_attacker () =
+  let c = Experiments.Context.make ~n:500 ~seed:111 ~scale:0.02 () in
+  let g = c.Experiments.Context.graph and dst = c.Experiments.Context.cps.(0) in
+  Alcotest.(check (array int)) "the sample is the CP" [| dst |]
+    (Experiments.Context.sample c "cpfate-att" c.Experiments.Context.non_stubs
+       (Experiments.Context.scaled c 30));
+  let dep =
+    Deployment.tier1_and_stubs ~with_cps:true g c.Experiments.Context.tiers
+  in
+  let normal =
+    Reference.compute g Experiments.Context.sec3 dep ~dst ~attacker:None
+  in
+  let n = Graph.n g in
+  let secure =
+    List.length
+      (List.filter
+         (fun v -> v <> dst && Outcome.secure normal v)
+         (List.init n Fun.id))
+  in
+  Alcotest.(check bool) "some secure route" true (secure > 0);
+  let row =
+    List.find
+      (String.starts_with ~prefix:(Printf.sprintf "CP1 (AS %d)" dst))
+      (String.split_on_char '\n' (Experiments.Exp_cp_fate.run c))
+  in
+  let cells = List.filter (( <> ) "") (String.split_on_char ' ' row) in
+  Alcotest.(check string) "secure column"
+    (Experiments.Util.pct (float_of_int secure /. float_of_int (n - 1)))
+    (List.nth cells 3)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -241,6 +274,8 @@ let () =
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "baseline ballpark" `Slow test_baseline_value;
           Alcotest.test_case "stable across seeds" `Slow test_seed_stability;
+          Alcotest.test_case "cp-fate lone attacker is a CP" `Quick
+            test_cp_fate_lone_attacker;
         ] );
       ( "runs end to end",
         List.map

@@ -114,7 +114,7 @@ let prop_evaluator_exact ~pool seed =
         Array.for_all2
           (fun (a : Core.Metric.bounds) b -> a = b)
           (Core.Metric.Evaluator.values ev)
-          (Array.map (fun p -> Core.Metric.pair_bounds g policy dep p) pairs)
+          (Array.map (reference_bounds g policy dep) pairs)
       in
       if inc <> scratch then
         Printf.eprintf "aggregate differs at %s\n%!"
@@ -263,10 +263,9 @@ let prop_replay_exact seed =
             ignore (Core.Metric.Replay.step rp delta);
             let g' = Core.Metric.Replay.graph rp in
             let vals = Core.Metric.Replay.values rp in
-            let ws = Core.Engine.Workspace.local () in
             Array.iteri
               (fun i p ->
-                let want = Core.Metric.pair_bounds ~ws g' policy dep p in
+                let want = reference_bounds g' policy dep p in
                 let got = vals.(i) in
                 if
                   not
@@ -410,8 +409,15 @@ let influence_case ~max_lanes seed check =
           let judge delta =
             let influenced = verdict delta in
             if influenced then incr dirty else incr clean;
+            (* Re-solved on the applied graph by the reference kernel,
+               lane by lane: an oracle independent of [Batch]. *)
             let after () =
-              solve (Core.Graph.Delta.apply g delta) policy tiebreak
+              let g' = Core.Graph.Delta.apply g delta in
+              Array.map
+                (fun m ->
+                  Core.Reference.compute ~tiebreak g' policy dep ~dst
+                    ~attacker:(Some m))
+                attackers
             in
             if
               not
@@ -435,17 +441,17 @@ let influence_case ~max_lanes seed check =
   (!ok, !clean, !dirty)
 
 (* Soundness of the influence test with no reachability pre-filter: a
-   clean verdict means re-solving the word on the applied graph decodes
-   to bit-identical lanes. *)
+   clean verdict means every lane re-solved on the applied graph is
+   bit-identical to its decode before the delta. *)
 let influence_sound ~g:_ ~policy ~dst ~attackers:_ ~before ~after ~delta:_
     ~influenced =
   influenced
   || begin
-       let b' = after () in
+       let after = after () in
        let same = ref true in
        Array.iteri
          (fun lane out ->
-           match lane_mismatch out (Core.Batch.decode b' ~lane) with
+           match lane_mismatch out after.(lane) with
            | None -> ()
            | Some msg ->
                Printf.eprintf "%s d=%d lane %d: clean word changed: %s\n%!"

@@ -1,7 +1,7 @@
-(* Flat CSR kernel: bit-identity of the packed-state engine against the
-   fresh-buffer path, the pre-change reference engine and the literal
-   Appendix-B staged algorithm, plus the hoisted rank table against
-   Policy.rank. *)
+(* Flat CSR kernel: bit-identity of the batched kernel — per lane, and
+   through its one-pair facade [Engine.compute] — against the fresh-buffer
+   path, the pre-change reference kernel and the literal Appendix-B
+   staged algorithm, plus the hoisted rank table against Policy.rank. *)
 
 open Core
 open Test_helpers
@@ -78,7 +78,7 @@ let test_engine_vs_reference =
         random_instance rng ~max_n:30
       in
       let policy = random_policy rng in
-      let ws = Engine.Workspace.create (Graph.n g) in
+      let ws = Batch.Workspace.create (Graph.n g) in
       let fresh =
         Engine.compute ~tiebreak ~attacker_claim:claim g policy dep ~dst
           ~attacker
@@ -118,11 +118,12 @@ let test_engine_vs_staged =
 
 (* One workspace reused across a growing sequence of graph sizes: the
    grow-in-place path must never leak state from a smaller (or larger)
-   previous computation. *)
+   previous computation.  One-lane solves through the facade, each
+   against a reference solve. *)
 let test_workspace_across_sizes =
   qtest "workspace reuse across growing graph sizes" ~count:100 (fun seed ->
       let rng = Rng.create seed in
-      let ws = Engine.Workspace.create 0 in
+      let ws = Batch.Workspace.create 0 in
       let sizes = [ 5; 9; 17; 33; 12; 40 ] in
       List.for_all
         (fun max_n ->
@@ -138,7 +139,9 @@ let test_workspace_across_sizes =
               let reused =
                 Engine.compute ~tiebreak ~ws g policy dep ~dst ~attacker
               in
-              let fresh = Engine.compute ~tiebreak g policy dep ~dst ~attacker in
+              let fresh =
+                Reference.compute ~tiebreak g policy dep ~dst ~attacker
+              in
               check_none "reuse across sizes" (outcome_mismatch fresh reused))
             [ Engine.Bounds; Engine.Lowest_next_hop ])
         sizes)
@@ -153,7 +156,7 @@ let test_no_attacker =
       let n = Graph.n g in
       let dep = random_deployment rng n in
       let dst = Rng.int rng n in
-      let ws = Engine.Workspace.create n in
+      let ws = Batch.Workspace.create n in
       List.for_all
         (fun policy ->
           let a = Engine.compute ~ws g policy dep ~dst ~attacker:None in
@@ -164,7 +167,7 @@ let test_no_attacker =
         standard_models)
 
 (* Destination-major batched kernel: decoding each lane of one batched
-   solve must be bit-identical to a scalar Engine.compute against that
+   solve must be bit-identical to a scalar reference solve against that
    lane's attacker — random policies (Lp_k included), both tiebreaks,
    random claims, duplicate attackers allowed (two lanes may share an
    attacker and must still decode independently). *)
@@ -195,8 +198,8 @@ let test_batch_vs_engine =
       Array.iteri
         (fun lane m ->
           let want =
-            Engine.compute ~tiebreak ~attacker_claim:claim g policy dep ~dst
-              ~attacker:(Some m)
+            Reference.compute ~tiebreak ~attacker_claim:claim g policy dep
+              ~dst ~attacker:(Some m)
           in
           let got = Batch.decode b ~lane in
           if
@@ -246,7 +249,7 @@ let test_batch_vs_staged =
    with full 63-lane words on graphs of at least 70 ASes, and solves
    both kinds after a larger graph grew the workspace (capacity above
    [n]: a 100..120-AS graph precedes a 70..90-AS full word and the small
-   graphs).  Every lane decodes against a scalar Engine solve, and
+   graphs).  Every lane decodes against a scalar reference solve, and
    [Batch.groups] counts exactly the groups [iter_fixed] visits. *)
 let test_batch_workspace_reuse =
   qtest "batch workspace reuse across sizes" ~count:60 (fun seed ->
@@ -278,7 +281,7 @@ let test_batch_workspace_reuse =
             Array.iteri
               (fun lane m ->
                 let want =
-                  Engine.compute g policy dep ~dst ~attacker:(Some m)
+                  Reference.compute g policy dep ~dst ~attacker:(Some m)
                 in
                 let got = Batch.decode ~into b ~lane in
                 if
@@ -331,10 +334,10 @@ let walk_endpoints b ~lanes =
   let d = Array.make lanes 0 and m = Array.make lanes 0 in
   let both = Array.make lanes 0 in
   Batch.iter_fixed b (fun ~v:_ ~mask ~word ~parent:_ ->
-      if Engine.Packed.cls_code_of word <> 3 then
+      if Batch.Packed.cls_code_of word <> 3 then
         for l = 0 to lanes - 1 do
           if mask land (1 lsl l) <> 0 then
-            match (Engine.Packed.to_d_of word, Engine.Packed.to_m_of word) with
+            match (Batch.Packed.to_d_of word, Batch.Packed.to_m_of word) with
             | true, false -> d.(l) <- d.(l) + 1
             | false, true -> m.(l) <- m.(l) + 1
             | true, true -> both.(l) <- both.(l) + 1
@@ -387,9 +390,39 @@ let test_batch_validation () =
   Alcotest.check_raises "attacker = dst"
     (Invalid_argument "Batch.compute: attacker = dst") (fun () ->
       ignore (Batch.compute g sec3 dep ~dst:0 ~attackers:[| 1; 0 |]));
-  Alcotest.check_raises "no lanes"
-    (Invalid_argument "Batch.compute: lane count 0 outside 1..63") (fun () ->
-      ignore (Batch.compute g sec3 dep ~dst:0 ~attackers:[||]))
+  Alcotest.check_raises "64 lanes"
+    (Invalid_argument "Batch.compute: lane count 64 outside 0..63") (fun () ->
+      ignore
+        (Batch.compute g sec3 dep ~dst:0
+           ~attackers:(Array.make 64 (Graph.n g - 1))));
+  (* No attacker: one attacker-free lane, the normal state, with no
+     source routed to an attacker. *)
+  let full = Deployment.of_modes (Array.make (Graph.n g) Deployment.Full) in
+  List.iter
+    (fun dep ->
+      List.iter
+        (fun policy ->
+          let b = Batch.compute g policy dep ~dst:0 ~attackers:[||] in
+          let want = Reference.compute g policy dep ~dst:0 ~attacker:None in
+          let got = Batch.decode b ~lane:0 in
+          Alcotest.(check bool) "decoded without attacker" true
+            (Outcome.attacker got = None);
+          (match outcome_mismatch want got with
+          | None -> ()
+          | Some msg -> Alcotest.fail msg);
+          match Batch.endpoints b with
+          | [| e |] ->
+              Alcotest.(check (pair int int)) "no attacker endpoints" (0, 0)
+                (e.m_only, e.both);
+              Alcotest.(check int) "reached sources"
+                (List.length
+                   (List.filter
+                      (fun v -> v <> 0 && Outcome.reached want v)
+                      (List.init (Graph.n g) Fun.id)))
+                e.d_only
+          | _ -> Alcotest.fail "one lane expected")
+        standard_models)
+    [ dep; full ]
 
 (* The CSR view itself: segments match the per-class adjacency arrays on
    random graphs. *)

@@ -317,7 +317,7 @@ let test_batched_h_metric_identity =
       let lb = ref 0. and ub = ref 0. in
       Array.iter
         (fun p ->
-          let b = Metric.pair_bounds g policy dep p in
+          let b = reference_bounds g policy dep p in
           lb := !lb +. b.Metric.lb;
           ub := !ub +. b.Metric.ub)
         pairs;
@@ -402,7 +402,7 @@ let test_full_word_identity =
       let pairs = Array.map (fun m -> { Metric.attacker = m; dst }) attackers in
       let dep = random_deployment rng n in
       let policy = random_policy rng in
-      let want = Array.map (Metric.pair_bounds g policy dep) pairs in
+      let want = Array.map (reference_bounds g policy dep) pairs in
       let bits_equal a b =
         Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
       in

@@ -148,8 +148,9 @@ let outcomes_equal a b =
   !ok
 
 let test_workspace_agrees () =
-  (* Engine.compute with a reused workspace must produce the same outcome
-     as fresh allocation, across many pairs recycled through one ws. *)
+  (* Engine.compute with a reused batch workspace must produce the same
+     outcome as fresh allocation, across many pairs recycled through one
+     ws. *)
   let r =
     Topogen.generate ~params:(Topogen.default_params ~n:700) (Rng.create 21)
   in
@@ -159,7 +160,7 @@ let test_workspace_agrees () =
   let dep = Deployment.tier1_tier2 g tiers ~n_t1:5 ~n_t2:10 in
   let rng = Rng.create 22 in
   let vs = Rng.sample_without_replacement rng 12 n in
-  let ws = Engine.Workspace.create 0 in
+  let ws = Batch.Workspace.create 0 in
   List.iter
     (fun model ->
       let policy = Policy.make model in
@@ -188,7 +189,7 @@ let test_workspace_partition_agrees () =
   let n = Graph.n g in
   let rng = Rng.create 32 in
   let vs = Rng.sample_without_replacement rng 10 n in
-  let ws = Engine.Workspace.create 0 in
+  let ws = Batch.Workspace.create 0 in
   List.iter
     (fun model ->
       let policy = Policy.make model in

@@ -176,10 +176,10 @@ let test_collateral_damage_sec1_export () =
     (col.damage >= 1)
 
 (* The per-pair definitions [Phenomena.sum] replaced, kept as its
-   oracle: three fresh [Engine] solves per pair (normal with S, attack
+   oracle: three {!Reference} solves per pair (normal with S, attack
    with S, attack with S = {}) and one scalar pass over the sources,
    Theorem 3.1's exemption read off the representative normal path as a
-   list. *)
+   list; plus one normal solve per destination for [secure_by_dst]. *)
 let through_attacker normal ~attacker v =
   Outcome.reached normal v && List.mem attacker (Outcome.path normal v)
 
@@ -196,14 +196,23 @@ let zero : Phenomena.t =
     happy_dep = 0;
     exempt = 0;
     exempt_lost = 0;
+    secure_by_dst = 0;
   }
+
+(* Sources with a secure route in [out], a state toward [dst]. *)
+let secure_sources out ~dst =
+  List.length
+    (List.filter
+       (fun v -> v <> dst && Outcome.secure out v)
+       (List.init (Outcome.n out) Fun.id))
 
 let per_pair g policy dep ~attacker ~dst : Phenomena.t =
   let n = Graph.n g in
-  let normal = Engine.compute g policy dep ~dst ~attacker:None in
-  let attack = Engine.compute g policy dep ~dst ~attacker:(Some attacker) in
+  let normal = Reference.compute g policy dep ~dst ~attacker:None in
+  let attack = Reference.compute g policy dep ~dst ~attacker:(Some attacker) in
   let base =
-    Engine.compute g policy (Deployment.empty n) ~dst ~attacker:(Some attacker)
+    Reference.compute g policy (Deployment.empty n) ~dst
+      ~attacker:(Some attacker)
   in
   let t = ref zero in
   let b x = if x then 1 else 0 in
@@ -227,14 +236,27 @@ let per_pair g policy dep ~attacker ~dst : Phenomena.t =
           happy_dep = a.happy_dep + b hd;
           exempt = a.exempt + b th;
           exempt_lost = a.exempt_lost + b (th && not sa);
+          secure_by_dst = 0;
         }
     end
   done;
   !t
 
 let oracle g policies dep pairs =
+  let dsts =
+    List.sort_uniq Int.compare
+      (Array.to_list (Array.map (fun p -> p.Metric.dst) pairs))
+  in
   List.map
     (fun policy ->
+      let secure_by_dst =
+        List.fold_left
+          (fun c dst ->
+            c
+            + secure_sources ~dst
+                (Reference.compute g policy dep ~dst ~attacker:None))
+          0 dsts
+      in
       Array.fold_left
         (fun (acc : Phenomena.t) { Metric.attacker; dst } ->
           let p = per_pair g policy dep ~attacker ~dst in
@@ -250,6 +272,7 @@ let oracle g policies dep pairs =
             happy_dep = acc.happy_dep + p.happy_dep;
             exempt = acc.exempt + p.exempt;
             exempt_lost = acc.exempt_lost + p.exempt_lost;
+            secure_by_dst;
           })
         zero pairs)
     policies
@@ -313,6 +336,53 @@ let test_sum_matches_oracle =
       in
       Phenomena.sum g policies dep pairs = oracle g policies dep pairs)
 
+(* Figure 13 ([cp-fate]) reads its columns off [sum [sec3]]: per
+   destination, over an attacker sample with any attacker equal to the
+   destination left out, "lost to downgrade" is [downgraded], "kept,
+   immune source" [wasted] and "kept, other" [protecting] — recounted
+   here per pair from the security-3rd [Partition.compute] class
+   (Corollary E.1) and the attacked state — and "secure routes
+   (normal)" is [secure_by_dst], the normal state's count.  The sample
+   always holds one of the destinations. *)
+let test_cp_fate_identity =
+  qtest "cp-fate columns = per-pair immune recount" ~count:150 (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng ~max_n:30 in
+      let n = Graph.n g in
+      let dep = random_deployment rng n in
+      let dsts = Rng.sample_without_replacement rng (min n 3) n in
+      let attackers = Rng.sample_without_replacement rng (min n 4) n in
+      if not (Array.mem dsts.(0) attackers) then attackers.(0) <- dsts.(0);
+      Array.for_all
+        (fun dst ->
+          let pairs =
+            Array.of_list
+              (List.filter_map
+                 (fun attacker ->
+                   if attacker = dst then None
+                   else Some { Metric.attacker; dst })
+                 (Array.to_list attackers))
+          in
+          let t = List.hd (Phenomena.sum g [ sec3 ] dep pairs) in
+          let normal = Engine.compute g sec3 dep ~dst ~attacker:None in
+          let down = ref 0 and immune = ref 0 and other = ref 0 in
+          Array.iter
+            (fun { Metric.attacker; _ } ->
+              let classes = Partition.compute g sec3 ~attacker ~dst in
+              let attack =
+                Engine.compute g sec3 dep ~dst ~attacker:(Some attacker)
+              in
+              for v = 0 to n - 1 do
+                if v <> dst && v <> attacker && Outcome.secure normal v then
+                  if not (Outcome.secure attack v) then incr down
+                  else if classes.(v) = Partition.Immune then incr immune
+                  else incr other
+              done)
+            pairs;
+          (t.downgraded, t.wasted, t.protecting, t.secure_by_dst)
+          = (!down, !immune, !other, secure_sources normal ~dst))
+        dsts)
+
 (* Root-cause accounting identities on random instances. *)
 let test_root_cause_identities =
   qtest "root-cause decomposition is internally consistent" ~count:150
@@ -374,5 +444,6 @@ let () =
           test_no_damage_sec3;
           test_exempt_matches_path;
           test_sum_matches_oracle;
+          test_cp_fate_identity;
         ] );
     ]
