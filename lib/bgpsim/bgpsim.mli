@@ -57,7 +57,17 @@ val run : ?schedule:Rng.t -> ?max_sweeps:int -> t -> int
     the number of sweeps.  [schedule] randomizes the activation order of
     each sweep.  Raises [Failure] if [max_sweeps] (default 1000) is
     exceeded — with consistent policies this cannot happen (Theorem 2.1),
-    with mixed policies it signals a persistent oscillation. *)
+    with mixed policies it signals a persistent oscillation.
+
+    A sweep visits the ASes in its order but activates only the dirty
+    ones: those whose RIB was written (by an announcement, a withdrawal,
+    {!set_attack} or {!set_link}) since their last activation.  An
+    activation's outcome depends only on the AS's RIB and its current
+    choice (the tiebreak makes it independent of scan order), and an AS
+    re-activated right after settling keeps its route, so a clean AS
+    would have reported no change: routes, sweep counts (the final
+    quiet sweep included) and [Failure]s are those of activating every
+    AS on every sweep. *)
 
 val set_link : t -> int -> int -> up:bool -> unit
 (** Fail or restore the link between two adjacent ASes.  Routes over a

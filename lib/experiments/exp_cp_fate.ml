@@ -57,14 +57,18 @@ let run_policy (ctx : Context.t) policy =
   in
   Array.iteri
     (fun cp_index (secure, (t : Metric.Phenomena.t)) ->
-      let frac x = float_of_int x /. float_of_int t.sources in
+      (* No sampled attacker (the CP was its own only sample): no fate. *)
+      let frac x =
+        if t.sources = 0 then "-"
+        else Util.pct (float_of_int x /. float_of_int t.sources)
+      in
       Prelude.Table.add_row table
         [
           Printf.sprintf "CP%d (AS %d)" (cp_index + 1) ctx.cps.(cp_index);
           Util.pct (float_of_int secure /. float_of_int (n - 1));
-          Util.pct (frac t.downgraded);
-          Util.pct (frac t.wasted);
-          Util.pct (frac t.protecting);
+          frac t.downgraded;
+          frac t.wasted;
+          frac t.protecting;
         ])
     (Parallel.map ~pool:(Context.pool ctx) ~chunk:1 fate ctx.cps);
   table

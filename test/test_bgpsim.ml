@@ -5,13 +5,14 @@ open Core
 open Test_helpers
 
 let sec1 = Policy.make Policy.Security_first
+let sec2 = Policy.make Policy.Security_second
 let sec3 = Policy.make Policy.Security_third
 
 (* The dynamic simulator must converge to the stable state the static
    engine computes, for all models and LP variants, under deterministic
    lowest-next-hop tiebreaking. *)
 let test_sim_vs_engine =
-  qtest "dynamic simulation = static engine" ~count:150 (fun seed ->
+  qtest "dynamic simulation = static engine" ~count:2000 (fun seed ->
       let rng = Rng.create seed in
       let g = random_graph rng ~max_n:25 in
       let n = Graph.n g in
@@ -66,7 +67,11 @@ let test_convergence_bounded =
       let dep = random_deployment rng n in
       let policy = random_policy rng in
       let dst = Rng.int rng n in
-      let sim = Bgpsim.create g policy dep ~dst () in
+      let m = Rng.int rng n in
+      let sim =
+        if m = dst then Bgpsim.create g policy dep ~dst ()
+        else Bgpsim.create g policy dep ~dst ~attacker:m ()
+      in
       Bgpsim.run ~max_sweeps:100 sim <= 100)
 
 (* Figure 1: the S*BGP Wedgie.  AS 29518 ranks security below LP while AS
@@ -165,6 +170,212 @@ let test_link_failure_equivalence =
       let (_ : int) = Bgpsim.run fresh in
       Bgpsim.snapshot sim = Bgpsim.snapshot fresh)
 
+(* Golden corpus: what every [run] returns (or its [Failure]) and a digest
+   of the state it leaves, over fixed seeded instances.  The expected
+   values were recorded with the previous simulator (per-AS relationship
+   tables, every AS re-selected on every sweep); the simulator must
+   reproduce them exactly — sweep counts and failures included. *)
+
+type transcript = {
+  buf : Buffer.t;
+  mutable runs : int;
+  mutable failures : int;
+  mutable sweeps : int;
+}
+
+let transcript () =
+  { buf = Buffer.create 4096; runs = 0; failures = 0; sweeps = 0 }
+
+(* One [run], then the state it leaves: chosen paths, [route_secure] and
+   [uses_attacker] of every AS. *)
+let record tr ?schedule ?max_sweeps sim =
+  tr.runs <- tr.runs + 1;
+  (match Bgpsim.run ?schedule ?max_sweeps sim with
+  | k ->
+      tr.sweeps <- tr.sweeps + k;
+      Printf.bprintf tr.buf "run %d\n" k
+  | exception Failure msg ->
+      tr.failures <- tr.failures + 1;
+      Printf.bprintf tr.buf "failure %s\n" msg);
+  Array.iteri
+    (fun v path ->
+      (match path with
+      | None -> Buffer.add_char tr.buf '-'
+      | Some p -> List.iter (Printf.bprintf tr.buf "%d.") p);
+      Printf.bprintf tr.buf " %b %b\n"
+        (Bgpsim.route_secure sim v)
+        (Bgpsim.uses_attacker sim v))
+    (Bgpsim.snapshot sim)
+
+let summary tr =
+  Printf.sprintf "runs=%d failures=%d sweeps=%d md5=%s" tr.runs tr.failures
+    tr.sweeps
+    (Digest.to_hex (Digest.string (Buffer.contents tr.buf)))
+
+(* The Section-8 extension families, on the graph the [extensions]
+   experiment uses: a Topogen graph of 800 ASes. *)
+let golden_topogen =
+  lazy
+    (let r =
+       Topogen.generate ~params:(Topogen.default_params ~n:800) (Rng.create 5)
+     in
+     (r.Topogen.graph, Topogen.tiers r))
+
+(* Hysteresis double run: converge with the attack silenced, then launch
+   it against the established state. *)
+let golden_hysteresis () =
+  let g, tiers = Lazy.force golden_topogen in
+  let n = Graph.n g in
+  let dep = Deployment.tier1_tier2 g tiers ~n_t1:13 ~n_t2:50 in
+  let tr = transcript () in
+  List.iter
+    (fun hysteresis ->
+      let rng = Rng.create 11 in
+      for _ = 1 to 25 do
+        let dst = Rng.int rng n and attacker = Rng.int rng n in
+        if dst <> attacker then begin
+          let sim = Bgpsim.create ~hysteresis g sec3 dep ~dst ~attacker () in
+          Bgpsim.set_attack sim ~active:false;
+          record tr sim;
+          Bgpsim.set_attack sim ~active:true;
+          record tr ~max_sweeps:300 sim
+        end
+      done)
+    [ false; true ];
+  summary tr
+
+(* Security-1st islands: the Tier 2s and CPs rank security 1st. *)
+let golden_islands () =
+  let g, tiers = Lazy.force golden_topogen in
+  let n = Graph.n g in
+  let island =
+    Array.append (Tiers.members tiers Tiers.T2) (Tiers.members tiers Tiers.Cp)
+  in
+  let dep = Deployment.make ~n ~full:island () in
+  let in_island = Array.make n false in
+  Array.iter (fun v -> in_island.(v) <- true) island;
+  let tr = transcript () in
+  List.iter
+    (fun policy_of ->
+      let rng = Rng.create 13 in
+      for _ = 1 to 20 do
+        let dst = island.(Rng.int rng (Array.length island)) in
+        let attacker = Rng.int rng n in
+        if dst <> attacker then
+          record tr ~max_sweeps:300
+            (Bgpsim.create ~policy_of g sec3 dep ~dst ~attacker ())
+      done)
+    [
+      (fun _ -> sec3);
+      (fun v -> if in_island.(v) then sec1 else sec3);
+      (fun _ -> sec1);
+    ];
+  summary tr
+
+(* The operator-survey mix: 10 % security 1st, 20 % 2nd, the rest 3rd. *)
+let golden_survey () =
+  let g, tiers = Lazy.force golden_topogen in
+  let n = Graph.n g in
+  let dep = Deployment.tier1_tier2 g tiers ~n_t1:13 ~n_t2:50 in
+  let assign = Rng.create 17 in
+  let mix =
+    Array.init n (fun _ ->
+        let r = Rng.int assign 100 in
+        if r < 10 then sec1 else if r < 30 then sec2 else sec3)
+  in
+  let tr = transcript () in
+  List.iter
+    (fun policy_of ->
+      let rng = Rng.create 19 in
+      for _ = 1 to 20 do
+        let dst = Rng.int rng n and attacker = Rng.int rng n in
+        if dst <> attacker then
+          record tr ~max_sweeps:300
+            (Bgpsim.create ~policy_of g sec3 dep ~dst ~attacker ())
+      done)
+    [ (fun _ -> sec3); (fun v -> mix.(v)); (fun _ -> sec2) ];
+  summary tr
+
+(* A small random instance: per-AS policy mixes (so some instances
+   oscillate and fail), cyclic hierarchies, hysteresis, an attacker. *)
+let golden_instance rng =
+  let g = random_graph ~cycle:(coin rng) rng ~max_n:25 in
+  let n = Graph.n g in
+  let dep = random_deployment rng n in
+  let policy = random_policy rng in
+  let policy_of =
+    if coin rng then
+      let mix = Array.init n (fun _ -> random_policy rng) in
+      fun v -> mix.(v)
+    else fun _ -> policy
+  in
+  let hysteresis = coin rng in
+  let dst = Rng.int rng n and m = Rng.int rng n in
+  let sim =
+    if m = dst then Bgpsim.create ~policy_of ~hysteresis g policy dep ~dst ()
+    else Bgpsim.create ~policy_of ~hysteresis g policy dep ~dst ~attacker:m ()
+  in
+  (g, sim, m <> dst)
+
+(* Random graphs under seeded activation schedules, attack launched
+   against the established state where there is an attacker. *)
+let golden_schedules () =
+  let tr = transcript () in
+  for seed = 1 to 300 do
+    let rng = Rng.create (1000 + seed) in
+    let _, sim, attacked = golden_instance rng in
+    let schedule = Rng.create seed in
+    if attacked then begin
+      Bgpsim.set_attack sim ~active:false;
+      record tr ~schedule ~max_sweeps:60 sim;
+      Bgpsim.set_attack sim ~active:true
+    end;
+    record tr ~schedule ~max_sweeps:60 sim
+  done;
+  summary tr
+
+(* Link flaps in the middle of convergence: cut [run] short with a small
+   [max_sweeps] (its [Failure] is part of the transcript), fail a link,
+   run, restore it, run to the end. *)
+let golden_flaps () =
+  let tr = transcript () in
+  for seed = 1 to 300 do
+    let rng = Rng.create (2000 + seed) in
+    let g, sim, _ = golden_instance rng in
+    let edges = Array.of_list (Graph.edges g) in
+    let a, b =
+      match edges.(Rng.int rng (Array.length edges)) with
+      | Graph.Customer_provider (a, b) | Graph.Peer_peer (a, b) -> (a, b)
+    in
+    let schedule = if coin rng then Some (Rng.create seed) else None in
+    record tr ?schedule ~max_sweeps:(1 + Rng.int rng 3) sim;
+    Bgpsim.set_link sim a b ~up:false;
+    record tr ?schedule ~max_sweeps:(1 + Rng.int rng 3) sim;
+    Bgpsim.set_link sim a b ~up:true;
+    record tr ?schedule ~max_sweeps:60 sim;
+    Bgpsim.set_link sim b a ~up:false;
+    record tr ?schedule ~max_sweeps:60 sim
+  done;
+  summary tr
+
+let golden_case (name, family, expected) =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) name expected (family ()))
+
+let golden =
+  [
+    ("extensions hysteresis", golden_hysteresis,
+      "runs=100 failures=0 sweeps=385 md5=cdd28a2e70092b9477d29ee70ff7507a" );
+    ("extensions islands", golden_islands,
+      "runs=60 failures=0 sweeps=239 md5=81b1cf6261d30b47aa8f3ae8f0715f98" );
+    ("extensions survey mix", golden_survey,
+      "runs=60 failures=0 sweeps=290 md5=9872d276e7b30a034056e45fcfcaf8fc" );
+    ("random graphs under schedules", golden_schedules,
+      "runs=570 failures=0 sweeps=1746 md5=138b3a17208c7cbd5ab7d93caee134e2" );
+    ("link flaps mid-convergence", golden_flaps,
+      "runs=1200 failures=330 sweeps=1474 md5=4bec3ee79baa6150171c1681cec9c14b" );
+  ]
+
 let () =
   Alcotest.run "bgpsim"
     [
@@ -173,4 +384,5 @@ let () =
           test_link_failure_equivalence ] );
       ("convergence", [ test_convergence_bounded ]);
       ("wedgie", [ Alcotest.test_case "figure 1 wedgie" `Quick test_wedgie ]);
+      ("golden", List.map golden_case golden);
     ]

@@ -254,7 +254,9 @@ let test_cp_fate_lone_attacker () =
   let cells = List.filter (( <> ) "") (String.split_on_char ' ' row) in
   Alcotest.(check string) "secure column"
     (Experiments.Util.pct (float_of_int secure /. float_of_int (n - 1)))
-    (List.nth cells 3)
+    (List.nth cells 3);
+  Alcotest.(check (list string)) "no sample, no fate" [ "-"; "-"; "-" ]
+    (List.filteri (fun i _ -> i >= 4) cells)
 
 let () =
   Alcotest.run "experiments"
