@@ -63,14 +63,12 @@ let compare_results ~label (naive : Optimize.Max_k.result)
   done;
   !diags
 
-let compare_instance ?pool ?fault ~label ~objective ~base ~pairs ~k ~candidates
-    g policy =
+let compare_instance ?pool ?fault ~label ~base ~pairs ~k ~candidates g policy =
   let naive =
-    Optimize.Max_k.greedy ?pool ~objective ~base g policy ~pairs ~k ~candidates
+    Optimize.Max_k.greedy ?pool ~base g policy ~pairs ~k ~candidates
   in
   let celf =
-    Optimize.Max_k.celf ?pool ~objective ~base ?fault g policy ~pairs ~k
-      ~candidates
+    Optimize.Max_k.celf ?pool ~base ?fault g policy ~pairs ~k ~candidates
   in
   let label = Printf.sprintf "%s, policy %s" label (Routing.Policy.name policy) in
   (1 + min naive.Optimize.Max_k.achieved celf.Optimize.Max_k.achieved,
@@ -111,8 +109,7 @@ let gadget ?fault () =
     |]
   in
   let policy = Routing.Policy.make Routing.Policy.Security_third in
-  compare_instance ?fault ~label:"set-cover gadget" ~objective:`Lb ~base
-    ~pairs ~k:2 ~candidates:b.Optimize.Set_cover.set_as g policy
+  compare_instance ?fault ~label:"set-cover gadget" ~base ~pairs ~k:2 ~candidates:b.Optimize.Set_cover.set_as g policy
 
 (* Distinct draws avoiding [avoid]; bounded tries so tiny graphs just
    yield fewer (the caller skips the instance). *)
@@ -160,13 +157,12 @@ let analyze ?pool ?fault ?(instances = 2) ~seed g policies =
         (* Destinations sign their origins in the base scenario, else
            transit security is invisible and every gain is zero. *)
         let base = Deployment.make ~n ~full:[||] ~simplex:dsts () in
-        let objective = if i mod 2 = 0 then `Lb else `Ub in
         List.iter
           (fun policy ->
             record
               (compare_instance ?pool ?fault
                  ~label:(Printf.sprintf "instance %d" i)
-                 ~objective ~base ~pairs ~k:3 ~candidates g policy))
+                 ~base ~pairs ~k:3 ~candidates g policy))
           policies
       end
     done;

@@ -38,6 +38,5 @@ val analyze :
 (** The full pass: the gadget plus [instances] (default 2) seeded
     random instances on [g] — sampled destinations get Simplex in the
     base deployment (so securing transit ASes can matter), sampled
-    candidates exclude the pair ASes, k = 3, alternating [`Lb]/[`Ub]
-    objectives, every policy in [policies].  Graphs with fewer than 8
-    ASes run the gadget only. *)
+    candidates exclude the pair ASes, k = 3, every policy in
+    [policies].  Graphs with fewer than 8 ASes run the gadget only. *)

@@ -36,7 +36,7 @@ let run (ctx : Context.t) =
             Util.per_destination_changes ~pool:(Context.pool ctx)
               ~cache:(Context.cache ctx) ctx.graph policy dep ~attackers ~dsts
           in
-          let mean f = Prelude.Stats.mean (Array.map (fun (_, b) -> f b) deltas) in
+          let mean f = Prelude.Stats.mean (Array.map (fun (_, _, b) -> f b) deltas) in
           Prelude.Table.add_row table
             [
               label;

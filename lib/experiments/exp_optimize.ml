@@ -111,8 +111,8 @@ let run (ctx : Context.t) =
   List.iter
     (fun policy ->
       let r =
-        Optimize.Max_k.celf ~pool ~cache ~objective:`Lb ~base g policy ~pairs
-          ~k:k_max ~candidates
+        Optimize.Max_k.celf ~pool ~cache ~base g policy ~pairs ~k:k_max
+          ~candidates
       in
       let rng = Context.rng ctx ("optimize-rand-" ^ Routing.Policy.name policy) in
       List.iter

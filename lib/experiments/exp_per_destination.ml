@@ -37,9 +37,9 @@ let summary (ctx : Context.t) dep =
         Util.per_destination_changes ~pool:(Context.pool ctx)
           ~cache:(Context.cache ctx) ctx.graph policy dep ~attackers ~dsts
       in
-      let lbs = Array.map (fun (_, b) -> b.Metric.H_metric.lb) deltas in
+      let lbs = Array.map (fun (_, _, b) -> b.Metric.H_metric.lb) deltas in
       let small_gain =
-        Array.map (fun (d, b) -> (d, b.Metric.H_metric.lb < 0.04)) deltas
+        Array.map (fun (d, _, b) -> (d, b.Metric.H_metric.lb < 0.04)) deltas
       in
       if policy == Context.sec2 then sec2_small := small_gain;
       if policy == Context.sec3 then sec3_small := small_gain;
@@ -51,12 +51,7 @@ let summary (ctx : Context.t) dep =
       (* True protection level under this deployment (not the delta). *)
       let h_mean =
         Prelude.Stats.mean
-          (Parallel.map ~pool:(Context.pool ctx)
-             (fun dst ->
-               (Metric.H_metric.h_metric_per_dst ~cache:(Context.cache ctx)
-                  ctx.graph policy dep ~attackers ~dst)
-                 .Metric.H_metric.lb)
-             dsts)
+          (Array.map (fun (_, h, _) -> h.Metric.H_metric.lb) deltas)
       in
       Prelude.Table.add_row table
         ([ Routing.Policy.name policy; Util.pct (Prelude.Stats.mean lbs) ]

@@ -49,7 +49,7 @@ let secure_dest_delta (ctx : Context.t) policy dep ~attackers ~dsts =
         ~cache:(Context.cache ctx) ctx.graph policy dep ~attackers ~dsts
     in
     let avg f =
-      Prelude.Stats.mean (Array.map (fun (_, b) -> f b) deltas)
+      Prelude.Stats.mean (Array.map (fun (_, _, b) -> f b) deltas)
     in
     Some
       {

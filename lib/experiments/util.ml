@@ -73,29 +73,38 @@ let secure_dsts (ctx : Context.t) dep ~k =
   Context.priority_sample ctx "rollout-securedst"
     (Deployment.secure_list dep) (Context.scaled ctx k)
 
-(* Per-destination metric change, for the Figure 9/10/12 sequences.
-   Parallelism is per destination (the coarsest independent unit here);
-   the inner h_metric calls then run sequentially in their worker — a
-   nested pool map would degrade to sequential anyway. *)
+(* Per-destination metric, for the Figure 9/10/12 sequences: one
+   [pair_endpoints] per deployment over every destination's pairs (its
+   attackers in input order, skipping itself), then the mean over each
+   destination's slice. *)
 let per_destination_changes ?pool ?cache g policy dep ~attackers ~dsts =
-  (* Intern the deployment versions up front so worker domains only take
-     the interning mutex on a version already present. *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-      ignore (Metric.H_metric.Cache.intern c g dep);
-      ignore
-        (Metric.H_metric.Cache.intern c g
-           (Deployment.empty (Topology.Graph.n g))));
-  Parallel.map ?pool
-    (fun dst ->
-      let base =
-        Metric.H_metric.h_metric_per_dst ?cache g policy
-          (Deployment.empty (Topology.Graph.n g))
-          ~attackers ~dst
-      in
-      let with_s =
-        Metric.H_metric.h_metric_per_dst ?cache g policy dep ~attackers ~dst
-      in
-      (dst, Metric.H_metric.bounds_improvement with_s base))
+  let module H = Metric.H_metric in
+  let n = Topology.Graph.n g in
+  let per_dst =
+    Array.map
+      (fun dst ->
+        Array.of_list
+          (List.filter_map
+             (fun m -> if m = dst then None else Some { H.attacker = m; dst })
+             (Array.to_list attackers)))
+      dsts
+  in
+  let pairs = Array.concat (Array.to_list per_dst) in
+  let h dep =
+    let vals =
+      Array.map (H.endpoint_bounds ~n)
+        (H.pair_endpoints ?pool ?cache g policy dep pairs)
+    in
+    let off = ref 0 in
+    Array.map
+      (fun ps ->
+        let b = H.mean (Array.sub vals !off (Array.length ps)) in
+        off := !off + Array.length ps;
+        b)
+      per_dst
+  in
+  let base = h (Deployment.empty n) in
+  let with_s = h dep in
+  Array.mapi
+    (fun i dst -> (dst, with_s.(i), H.bounds_improvement with_s.(i) base.(i)))
     dsts

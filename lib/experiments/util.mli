@@ -80,6 +80,9 @@ val per_destination_changes :
   Deployment.t ->
   attackers:int array ->
   dsts:int array ->
-  (int * Metric.H_metric.bounds) array
-(** Per-destination metric improvement [H_{M',d}(S) - H_{M',d}({})].
-    Parallel per destination. *)
+  (int * Metric.H_metric.bounds * Metric.H_metric.bounds) array
+(** Per destination [d], in [dsts] order: [(d, H_{M',d}(S),
+    H_{M',d}(S) - H_{M',d}({}))], where [M'] is [attackers] minus [d].
+    Two {!Metric.H_metric.pair_endpoints} calls over every
+    destination's pairs, one per deployment, whose words run on
+    [pool]. *)

@@ -32,6 +32,11 @@ let to_bounds c =
     ub = Prelude.Stats.fraction c.happy_ub c.sources;
   }
 
+(* One batched solve: destination [dst] against the attackers of the
+   pairs at [pos] (positions into the planned pair array).  Declared
+   before [pair], whose [dst] an unannotated field access then reads. *)
+type word = { dst : int; attackers : int array; pos : int array }
+
 type pair = { attacker : int; dst : int }
 
 let pairs ?rng ?max_pairs ~attackers ~dsts () =
@@ -117,85 +122,30 @@ let endpoint_bounds ~n (e : Routing.Batch.endpoints) =
 
 let no_endpoints = { Routing.Batch.d_only = 0; m_only = 0; both = 0 }
 
-(* One work item: solve destination [bdst] for the attackers of the
-   pairs at [bpos] (positions into the caller's index array). *)
-type batch_item = { bdst : int; bpos : int array }
-
 (* Group the pair positions by destination (first-seen order, keyed
-   lookups only — no Hashtbl iteration). *)
-let group_by_dst pairs idxs =
-  let by_dst = Hashtbl.create 64 in
-  let order = ref [] in
+   lookups only — no Hashtbl iteration) and chunk each destination's
+   positions into full words, so a destination's words are
+   consecutive. *)
+let plan pairs =
+  let lanes = Routing.Batch.max_lanes in
+  let by_dst = Hashtbl.create 64 and order = ref [] in
   Array.iteri
-    (fun j i ->
-      let p = pairs.(i) in
+    (fun i p ->
       match Hashtbl.find_opt by_dst p.dst with
-      | Some l -> l := j :: !l
+      | Some l -> l := i :: !l
       | None ->
-          Hashtbl.add by_dst p.dst (ref [ j ]);
-          order := p.dst :: !order)
-    idxs;
-  Array.of_list
-    (List.rev_map
-       (fun dst ->
-         ( dst,
-           match Hashtbl.find_opt by_dst dst with
-           | Some l -> Array.of_list (List.rev !l)
-           | None -> [||] ))
-       !order)
-
-let destinations pairs =
-  group_by_dst pairs (Array.init (Array.length pairs) (fun i -> i))
-
-(* ... and chunk each destination's attacker list into full words. *)
-let batch_items pairs idxs =
-  let items = ref [] in
-  Array.iter
-    (fun (dst, slots) ->
-      let total = Array.length slots in
-      let lanes = Routing.Batch.max_lanes in
-      let k = ref 0 in
-      while !k < total do
-        let len = min lanes (total - !k) in
-        items := { bdst = dst; bpos = Array.sub slots !k len } :: !items;
-        k := !k + len
-      done)
-    (group_by_dst pairs idxs);
-  Array.of_list (List.rev !items)
-
-(* Public face of the grouping: the replay keeps one word per item. *)
-let batch_plan pairs =
-  let idxs = Array.init (Array.length pairs) (fun i -> i) in
-  Array.map
-    (fun item ->
-      ( item.bdst,
-        Array.map (fun j -> pairs.(j).attacker) item.bpos,
-        Array.copy item.bpos ))
-    (batch_items pairs idxs)
-
-(* Evaluate [pairs.(idxs.(j))] for every [j], batched by destination.
-   Returns endpoint counts aligned with [idxs]. *)
-let batched_map ?pool ?(domains = 1) ?attacker_claim g policy dep pairs idxs =
-  let items = batch_items pairs idxs in
-  let per_item =
-    (* Items are few and coarse (one drain each): steal singly. *)
-    Parallel.map ?pool ~domains ~chunk:1
-      (fun item ->
-        let attackers =
-          Array.map (fun j -> pairs.(idxs.(j)).attacker) item.bpos
-        in
-        Routing.Batch.endpoints
-          (Routing.Batch.compute
-             ~ws:(Routing.Batch.Workspace.local ())
-             ?attacker_claim g policy dep ~dst:item.bdst ~attackers))
-      items
-  in
-  let out = Array.make (Array.length idxs) no_endpoints in
-  Array.iteri
-    (fun k item ->
-      Array.iteri (fun l j -> out.(j) <- per_item.(k).(l)) item.bpos)
-    items;
-  out
+          let l = ref [ i ] in
+          Hashtbl.add by_dst p.dst l;
+          order := (p.dst, l) :: !order)
+    pairs;
+  List.rev !order
+  |> List.concat_map (fun (dst, l) ->
+         let slots = Array.of_list (List.rev !l) in
+         let total = Array.length slots in
+         List.init ((total + lanes - 1) / lanes) (fun k ->
+             let pos = Array.sub slots (k * lanes) (min lanes (total - (k * lanes))) in
+             { dst; attackers = Array.map (fun j -> pairs.(j).attacker) pos; pos }))
+  |> Array.of_list
 
 (* Dense injective encoding of a policy for cache keys: the model index in
    the low bits, the local-preference variant above. *)
@@ -289,29 +239,23 @@ module Cache = struct
   let hits t = Sc.hits t.store
   let misses t = Sc.misses t.store
 
-  (* Propagate clean pairs of a deployment step: any (attacker, dst) the
-     dirty cone clears keeps its old-deployment value bit-for-bit, so the
-     cached entry can be republished under the new version without touching
+  (* Propagate clean pairs of a deployment step: any pair the dirty cone
+     clears keeps its old-deployment value bit-for-bit, so the cached
+     entry can be republished under the new version without touching
      the engine.  Returns how many entries were carried. *)
-  let carry t policy g cone ~old_dep ~new_dep ~attackers ~dsts =
+  let carry t policy g cone ~old_dep ~new_dep pairs =
     let old_v = intern t g old_dep and new_v = intern t g new_dep in
     let carried = ref 0 in
     Array.iter
-      (fun dst ->
-        Array.iter
-          (fun attacker ->
-            if
-              attacker <> dst
-              && not (Routing.Incremental.dirty_pair cone ~attacker ~dst)
-            then
-              let p = { attacker; dst } in
-              match find t policy g old_dep ~version:old_v ~claim:1 p with
-              | Some e ->
-                  store t policy g new_dep ~version:new_v ~claim:1 p e;
-                  incr carried
-              | None -> ())
-          attackers)
-      dsts;
+      (fun p ->
+        if not (Routing.Incremental.dirty_pair cone ~attacker:p.attacker ~dst:p.dst)
+        then
+          match find t policy g old_dep ~version:old_v ~claim:1 p with
+          | Some e ->
+              store t policy g new_dep ~version:new_v ~claim:1 p e;
+              incr carried
+          | None -> ())
+      pairs;
     !carried
 end
 
@@ -330,80 +274,75 @@ let mean vals =
     { lb = !lb /. float_of_int total; ub = !ub /. float_of_int total }
   end
 
-let pair_endpoints ?pool ?(domains = 1) ?cache ?(attacker_claim = 1) g policy
-    dep pairs =
+(* The one solver: one batched solve per planned word, on the domain's
+   private workspace, with [f]'s per-lane values scattered back by pair
+   position.  Words are few and coarse (one drain each): steal singly.
+   With [cache], every lane's endpoint counts are stored under the slot
+   [pair_endpoints] reads. *)
+let map_words ?pool ?(domains = 1) ?cache ?(attacker_claim = 1) g policy dep
+    pairs f =
   let total = Array.length pairs in
-  let find, remember =
+  let remember =
     match cache with
     | Some c when total > 0 ->
         let version = Cache.intern c g dep in
-        ( (fun p -> Cache.find c policy g dep ~version ~claim:attacker_claim p),
-          fun p e ->
-            Cache.store c policy g dep ~version ~claim:attacker_claim p e )
-    | Some _ | None -> ((fun _ -> None), fun _ _ -> ())
+        fun (w : word) b ->
+          Array.iteri
+            (fun l e ->
+              Cache.store c policy g dep ~version ~claim:attacker_claim
+                pairs.(w.pos.(l)) e)
+            (Routing.Batch.endpoints b)
+    | Some _ | None -> fun _ _ -> ()
   in
-  (* Pre-resolve the cache per pair, then solve only the misses,
-     destination-major, whole attacker words at a time. *)
-  let vals = Array.make total no_endpoints in
+  let words = plan pairs in
+  let per_word =
+    Parallel.map ?pool ~domains ~chunk:1
+      (fun (w : word) ->
+        let b =
+          Routing.Batch.compute
+            ~ws:(Routing.Batch.Workspace.local ())
+            ~attacker_claim g policy dep ~dst:w.dst ~attackers:w.attackers
+        in
+        remember w b;
+        f ~dst:w.dst ~attackers:w.attackers b)
+      words
+  in
+  if total = 0 then [||]
+  else begin
+    let out = Array.make total per_word.(0).(0) in
+    Array.iteri
+      (fun k w -> Array.iteri (fun l j -> out.(j) <- per_word.(k).(l)) w.pos)
+      words;
+    out
+  end
+
+(* Pre-resolve the cache per pair, then solve only the misses through
+   [map_words]; also returns how many pairs were solved. *)
+let resolve ?pool ?domains ?cache ?(attacker_claim = 1) g policy dep pairs =
+  let vals = Array.make (Array.length pairs) no_endpoints in
+  let find =
+    match cache with
+    | Some c when Array.length pairs > 0 ->
+        let version = Cache.intern c g dep in
+        fun p -> Cache.find c policy g dep ~version ~claim:attacker_claim p
+    | Some _ | None -> fun _ -> None
+  in
   let miss = ref [] in
   Array.iteri
     (fun i p ->
       match find p with Some e -> vals.(i) <- e | None -> miss := i :: !miss)
     pairs;
   let idxs = Array.of_list (List.rev !miss) in
-  if Array.length idxs > 0 then begin
-    let out =
-      batched_map ?pool ~domains ~attacker_claim g policy dep pairs idxs
-    in
-    Array.iteri
-      (fun j i ->
-        vals.(i) <- out.(j);
-        remember pairs.(i) out.(j))
-      idxs
-  end;
-  vals
-
-(* Whole words for consumers that read the state itself, not only its
-   endpoint counts.  Each word's counts are published to [cache] as
-   [pair_endpoints] would store them (no lookup is made: the word is
-   solved whatever the cache holds, because [f] needs it). *)
-let map_words ?pool ?cache g policy dep pairs f =
-  let total = Array.length pairs in
-  let items = batch_items pairs (Array.init total (fun i -> i)) in
-  let per_item =
-    Parallel.map ?pool ~domains:1 ~chunk:1
-      (fun item ->
-        let attackers = Array.map (fun j -> pairs.(j).attacker) item.bpos in
-        let b =
-          Routing.Batch.compute
-            ~ws:(Routing.Batch.Workspace.local ())
-            g policy dep ~dst:item.bdst ~attackers
-        in
-        (Routing.Batch.endpoints b, f ~dst:item.bdst ~attackers b))
-      items
+  let solved =
+    map_words ?pool ?domains ?cache ~attacker_claim g policy dep
+      (Array.map (fun i -> pairs.(i)) idxs)
+      (fun ~dst:_ ~attackers:_ b -> Routing.Batch.endpoints b)
   in
-  (match cache with
-  | Some c when total > 0 ->
-      let version = Cache.intern c g dep in
-      Array.iteri
-        (fun k item ->
-          let e, _ = per_item.(k) in
-          Array.iteri
-            (fun l j ->
-              Cache.store c policy g dep ~version ~claim:1 pairs.(j) e.(l))
-            item.bpos)
-        items
-  | Some _ | None -> ());
-  if total = 0 then [||]
-  else begin
-    let out = Array.make total (snd per_item.(0)).(0) in
-    Array.iteri
-      (fun k item ->
-        let vals = snd per_item.(k) in
-        Array.iteri (fun l j -> out.(j) <- vals.(l)) item.bpos)
-      items;
-    out
-  end
+  Array.iteri (fun j i -> vals.(i) <- solved.(j)) idxs;
+  (vals, Array.length idxs)
+
+let pair_endpoints ?pool ?domains ?cache ?attacker_claim g policy dep pairs =
+  fst (resolve ?pool ?domains ?cache ?attacker_claim g policy dep pairs)
 
 let h_metric ?pool ?domains ?cache ?attacker_claim g policy dep pairs =
   let n = Topology.Graph.n g in
@@ -411,40 +350,19 @@ let h_metric ?pool ?domains ?cache ?attacker_claim g policy dep pairs =
     (Array.map (endpoint_bounds ~n)
        (pair_endpoints ?pool ?domains ?cache ?attacker_claim g policy dep pairs))
 
-let h_metric_per_dst ?pool ?cache g policy dep ~attackers ~dst =
-  let ps =
-    Array.to_list attackers
-    |> List.filter_map (fun m ->
-           if m = dst then None else Some { attacker = m; dst })
-    |> Array.of_list
-  in
-  h_metric ?pool ?cache g policy dep ps
-
 module Evaluator = struct
-  type stats = { computed : int; carried : int; cache_hits : int }
+  type stats = { computed : int }
 
   type t = {
     g : Topology.Graph.t;
     policy : Routing.Policy.t;
     pairs : pair array;
-    dsts : int array; (* distinct destinations of [pairs] *)
+    dsts : int array; (* the planned words' destinations *)
     pool : Parallel.Pool.t option;
     cache : Cache.t;
     mutable prev : (Deployment.t * Routing.Batch.endpoints array) option;
-    mutable st : stats;
+    mutable computed : int;
   }
-
-  let distinct_dsts pairs =
-    let seen = Hashtbl.create 64 in
-    let acc = ref [] in
-    Array.iter
-      (fun p ->
-        if not (Hashtbl.mem seen p.dst) then begin
-          Hashtbl.add seen p.dst ();
-          acc := p.dst :: !acc
-        end)
-      pairs;
-    Array.of_list !acc
 
   let create ?pool ?cache g policy pairs =
     let cache = match cache with Some c -> c | None -> Cache.create () in
@@ -452,68 +370,30 @@ module Evaluator = struct
       g;
       policy;
       pairs = Array.copy pairs;
-      dsts = distinct_dsts pairs;
+      dsts = Array.map (fun (w : word) -> w.dst) (plan pairs);
       pool;
       cache;
       prev = None;
-      st = { computed = 0; carried = 0; cache_hits = 0 };
+      computed = 0;
     }
 
+  (* Every value of the previous step sits in the cache under its
+     deployment, so carrying the cone-clean pairs to [dep] leaves only
+     the dirty, uncached ones for [resolve] to solve: a destination with
+     one dirty attacker costs a 1-lane solve, not a full word. *)
   let eval t dep =
-    let version = Cache.intern t.cache t.g dep in
-    let n = Array.length t.pairs in
-    let vals = Array.make n no_endpoints in
-    let carried = ref 0 and hits = ref 0 in
-    let to_compute = ref [] in
-    let classify_fresh i p =
-      match Cache.find t.cache t.policy t.g dep ~version ~claim:1 p with
-      | Some e ->
-          vals.(i) <- e;
-          incr hits
-      | None -> to_compute := i :: !to_compute
-    in
     (match t.prev with
-    | Some (old_dep, old_vals) when Deployment.equal old_dep dep ->
-        Array.blit old_vals 0 vals 0 n;
-        carried := n
-    | Some (old_dep, old_vals) ->
+    | Some (old_dep, _) when not (Deployment.equal old_dep dep) ->
         let cone =
           Routing.Incremental.compute t.g ~old_dep ~new_dep:dep ~dsts:t.dsts
         in
-        Array.iteri
-          (fun i p ->
-            if
-              Routing.Incremental.dirty_pair cone ~attacker:p.attacker
-                ~dst:p.dst
-            then classify_fresh i p
-            else begin
-              vals.(i) <- old_vals.(i);
-              incr carried
-            end)
-          t.pairs
-    | None -> Array.iteri classify_fresh t.pairs);
-    let idxs = Array.of_list (List.rev !to_compute) in
-    if Array.length idxs > 0 then begin
-      (* [idxs] holds only pairs the dirty cone (and caches) left
-         standing, so clean attackers are already masked out of the lane
-         words: a destination with one dirty attacker costs a 1-lane
-         solve, not a full word. *)
-      let out = batched_map ?pool:t.pool t.g t.policy dep t.pairs idxs in
-      Array.iteri (fun j i -> vals.(i) <- out.(j)) idxs
-    end;
-    (* Publish every value (carried ones included) under the new version:
-       sibling evaluators and plain [h_metric ~cache] calls sharing this
-       cache then hit on the whole step. *)
-    Array.iteri
-      (fun i p -> Cache.store t.cache t.policy t.g dep ~version ~claim:1 p vals.(i))
-      t.pairs;
+        ignore (Cache.carry t.cache t.policy t.g cone ~old_dep ~new_dep:dep t.pairs : int)
+    | Some _ | None -> ());
+    let vals, solved =
+      resolve ?pool:t.pool ~cache:t.cache t.g t.policy dep t.pairs
+    in
     t.prev <- Some (dep, vals);
-    t.st <-
-      {
-        computed = t.st.computed + Array.length idxs;
-        carried = t.st.carried + !carried;
-        cache_hits = t.st.cache_hits + !hits;
-      };
+    t.computed <- t.computed + solved;
     mean (Array.map (endpoint_bounds ~n:(Topology.Graph.n t.g)) vals)
 
   let values t =
@@ -521,20 +401,19 @@ module Evaluator = struct
     | None -> invalid_arg "Evaluator.values: no deployment evaluated yet"
     | Some (_, vals) -> Array.map (endpoint_bounds ~n:(Topology.Graph.n t.g)) vals
 
-  let stats t = t.st
+  let stats t = { computed = t.computed }
 end
 
 module Replay = struct
   (* Incremental evaluation along a *topology* trajectory: the
      deployment and the pair set stay put while the graph takes
-     {!Topology.Graph.Delta} steps.  The pairs are grouped
-     destination-major into the same ≤63-lane words as {!batched_map};
-     each word retains the frozen group state of its last solve
-     ({!Routing.Incremental.Topo.word_state}), and a step re-solves only
-     the words the per-word influence test against that frozen state
-     cannot prove untouched.  Carried words keep their bounds
-     bit-for-bit (a clean verdict is a bit-identity guarantee, which the
-     [topology] check pass enforces against scratch solves).
+     {!Topology.Graph.Delta} steps.  The pairs are grouped into the
+     words of {!plan}; each word retains the frozen group state of its
+     last solve ({!Routing.Incremental.Topo.word_state}), and a step
+     re-solves only the words the per-word influence test against that
+     frozen state cannot prove untouched.  Carried words keep their
+     bounds bit-for-bit (a clean verdict is a bit-identity guarantee,
+     which the [topology] check pass enforces against scratch solves).
 
      Execution is sequential by design: the per-domain batch workspace
      is reused word to word (the frozen state is copied out before the
@@ -548,18 +427,12 @@ module Replay = struct
     lanes_carried : int;
   }
 
-  type word = {
-    w_dst : int;
-    w_attackers : int array;
-    w_pos : int array; (* indices into the pair array, one per lane *)
-    mutable w_state : Routing.Incremental.Topo.word_state option;
-  }
-
   type t = {
     r_policy : Routing.Policy.t;
     r_dep : Deployment.t;
-    r_pairs : pair array;
+    r_npairs : int;
     r_words : word array;
+    r_states : Routing.Incremental.Topo.word_state option array;
     mutable r_g : Topology.Graph.t;
     mutable r_vals : bounds array option;
     mutable r_st : stats;
@@ -568,56 +441,47 @@ module Replay = struct
   let create g policy dep pairs =
     if Deployment.n dep <> Topology.Graph.n g then
       invalid_arg "Replay.create: deployment size disagrees with the graph";
-    let pairs = Array.copy pairs in
-    let words =
-      Array.map
-        (fun (dst, attackers, pos) ->
-          { w_dst = dst; w_attackers = attackers; w_pos = pos; w_state = None })
-        (batch_plan pairs)
-    in
+    let words = plan pairs in
     {
       r_policy = policy;
       r_dep = dep;
-      r_pairs = pairs;
+      r_npairs = Array.length pairs;
       r_words = words;
+      r_states = Array.make (Array.length words) None;
       r_g = g;
       r_vals = None;
       r_st = { steps = 0; words_solved = 0; lanes_solved = 0; lanes_carried = 0 };
     }
 
-  (* One batched solve of a word against the current graph: freeze the
+  (* One batched solve of word [k] against the current graph: freeze the
      group state and read the drain's per-lane counts, before anything
      else touches the shared workspace. *)
-  let solve_word t vals w =
+  let solve_word t vals k =
     let n = Topology.Graph.n t.r_g in
+    let w = t.r_words.(k) in
     let b =
       Routing.Batch.compute
         ~ws:(Routing.Batch.Workspace.local ())
-        t.r_g t.r_policy t.r_dep ~dst:w.w_dst ~attackers:w.w_attackers
+        t.r_g t.r_policy t.r_dep ~dst:w.dst ~attackers:w.attackers
     in
-    w.w_state <- Some (Routing.Incremental.Topo.snapshot ~n b);
+    t.r_states.(k) <- Some (Routing.Incremental.Topo.snapshot ~n b);
     Array.iteri
-      (fun l e -> vals.(w.w_pos.(l)) <- endpoint_bounds ~n e)
+      (fun l e -> vals.(w.pos.(l)) <- endpoint_bounds ~n e)
       (Routing.Batch.endpoints b)
 
   let eval t =
     let vals =
       match t.r_vals with
       | Some v -> v
-      | None -> Array.make (Array.length t.r_pairs) { lb = 0.; ub = 0. }
+      | None -> Array.make t.r_npairs { lb = 0.; ub = 0. }
     in
-    let lanes = ref 0 in
-    Array.iter
-      (fun w ->
-        solve_word t vals w;
-        lanes := !lanes + Array.length w.w_attackers)
-      t.r_words;
+    Array.iteri (fun k _ -> solve_word t vals k) t.r_words;
     t.r_vals <- Some vals;
     t.r_st <-
       {
         t.r_st with
         words_solved = t.r_st.words_solved + Array.length t.r_words;
-        lanes_solved = t.r_st.lanes_solved + !lanes;
+        lanes_solved = t.r_st.lanes_solved + t.r_npairs;
       };
     mean vals
 
@@ -632,21 +496,22 @@ module Replay = struct
        a bit-identity guarantee against a scratch solve on [new_g]. *)
     t.r_g <- Topology.Graph.Delta.apply old_g delta;
     let solved = ref 0 and lanes_solved = ref 0 and lanes_carried = ref 0 in
-    Array.iter
-      (fun w ->
+    Array.iteri
+      (fun k w ->
+        let lanes = Array.length w.attackers in
         let dirty =
-          match w.w_state with
+          match t.r_states.(k) with
           | None -> true
           | Some st ->
               Routing.Incremental.Topo.influenced st t.r_dep t.r_policy
                 ~old_graph:old_g ~delta
         in
         if dirty then begin
-          solve_word t vals w;
+          solve_word t vals k;
           incr solved;
-          lanes_solved := !lanes_solved + Array.length w.w_attackers
+          lanes_solved := !lanes_solved + lanes
         end
-        else lanes_carried := !lanes_carried + Array.length w.w_attackers)
+        else lanes_carried := !lanes_carried + lanes)
       t.r_words;
     t.r_st <-
       {

@@ -24,6 +24,12 @@ val happy : Routing.Outcome.t -> counts
 
 val to_bounds : counts -> bounds
 
+type word = { dst : int; attackers : int array; pos : int array }
+(** One batched solve: destination [dst] against [attackers], the
+    attackers of the pairs at positions [pos] of the planned array
+    ([attackers.(l)] is [pairs.(pos.(l)).attacker]).  Declared before
+    {!pair}, so an unannotated [x.dst] still reads a pair's field. *)
+
 type pair = { attacker : int; dst : int }
 
 val pairs :
@@ -80,9 +86,6 @@ module Cache : sig
 
   val create : unit -> t
 
-  val intern : t -> Topology.Graph.t -> Deployment.t -> int
-  (** Stable small-int version of a deployment's content on this graph. *)
-
   val carry :
     t ->
     Routing.Policy.t ->
@@ -90,38 +93,29 @@ module Cache : sig
     Routing.Incremental.t ->
     old_dep:Deployment.t ->
     new_dep:Deployment.t ->
-    attackers:int array ->
-    dsts:int array ->
+    pair array ->
     int
-  (** [carry t policy g cone ~old_dep ~new_dep ~attackers ~dsts]
-      republishes, under [new_dep]'s version, the cached counts of every
-      (attacker, dst) pair the dirty [cone] proves unchanged by the
-      [old_dep -> new_dep] delta.  [cone] must have been computed for that
-      delta, on graph [g], with a destination set covering [dsts].  Pairs
-      with no cached entry under [old_dep] are skipped.  Returns the
-      number of entries carried (states with the default claim 1 only).
-      The production caller is the Max-k optimizer's CELF re-score: it
-      republishes the cached counts along
-      each candidate's chain from the deployment it was last scored
-      against, so the evaluator hits on the clean pairs. *)
+  (** [carry t policy g cone ~old_dep ~new_dep pairs] republishes, under
+      [new_dep]'s version, the cached counts of every pair the dirty
+      [cone] proves unchanged by the [old_dep -> new_dep] delta.  [cone]
+      must have been computed for that delta, on graph [g], with a
+      destination set covering the pairs'.  Pairs with no cached entry
+      under [old_dep] are skipped.  Returns the number of entries carried
+      (states with the default claim 1 only).  {!Evaluator.eval} carries
+      its pairs from the deployment it saw last; the Max-k optimizer's
+      CELF re-score carries them along each candidate's chain from the
+      deployment it was last scored against. *)
 
   val length : t -> int
   val hits : t -> int
   val misses : t -> int
 end
 
-val destinations : pair array -> (int * int array) array
-(** The distinct destinations of the pairs, in first-seen order, each
-    with the positions of its pairs in the input, ascending.  Every
-    input position appears exactly once. *)
-
-val batch_plan : pair array -> (int * int array * int array) array
-(** Group pairs by destination (first-seen input order, deterministic)
-    and chunk each destination's attacker list into words of at most
-    {!Routing.Batch.max_lanes} lanes.  Each item is
-    [(dst, attackers, positions)] where [positions] indexes the input
-    array ([attackers.(l)] is [pairs.(positions.(l)).attacker]).
-    Every input position appears in exactly one item. *)
+val plan : pair array -> word array
+(** The pairs grouped by destination, in first-seen order, each
+    destination's positions ascending and chunked into words of at most
+    {!Routing.Batch.max_lanes} lanes, so a destination's words are
+    consecutive.  Every position appears in exactly one word. *)
 
 val pair_endpoints :
   ?pool:Parallel.Pool.t ->
@@ -134,40 +128,40 @@ val pair_endpoints :
   pair array ->
   Routing.Batch.endpoints array
 (** Per-pair {!Routing.Batch.endpoints} of the attacked stable states, in
-    pair order.
-    Pairs sharing a destination are solved together by the
-    destination-major batched kernel — one routing-tree drain per
-    {!Routing.Batch.max_lanes} attackers — whose drain counts every
-    lane as it settles.  [attacker_claim] (default 1, the ["m d"]
-    announcement) is the path length the attacker claims, as in
-    {!Routing.Batch.compute}.  [pool] fans the words out over a
-    persistent worker pool; otherwise [domains > 1] borrows the default
-    pool (the words are independent and the graph is read-only).  Every
-    domain reuses its private {!Routing.Batch.Workspace}, and the
-    results are scattered back by pair position, so they are
-    bit-identical whatever the parallelism.
-
-    [cache] memoizes the per-pair counts across calls (hits skip the
-    engine entirely); the cache must belong to this graph. *)
+    pair order.  [cache] memoizes them across calls (the cache must
+    belong to this graph): the pairs it holds skip the engine, and the
+    rest are solved by {!map_words} (same [pool], [domains] and
+    [attacker_claim]) and stored.  [attacker_claim] (default 1, the
+    ["m d"] announcement) is the path length the attacker claims, as in
+    {!Routing.Batch.compute}.  The batched drain counts every lane as it
+    settles, so no per-pair outcome is materialized. *)
 
 val map_words :
   ?pool:Parallel.Pool.t ->
+  ?domains:int ->
   ?cache:Cache.t ->
+  ?attacker_claim:int ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Deployment.t ->
   pair array ->
   (dst:int -> attackers:int array -> Routing.Batch.t -> 'a array) ->
   'a array
-(** [map_words g policy dep pairs f] solves the attacked states of the
-    pairs one {!batch_plan} word at a time (claim 1) and returns, in
-    pair order, the per-lane values [f ~dst ~attackers word] gives
-    ([f] must return one value per lane, in lane order; the word is
-    valid only during the call).  [pool] fans the words out, each
-    domain on its private {!Routing.Batch.Workspace}; omitted, they run
-    in the caller.  With [cache], every lane's endpoint counts are
-    stored under the slot {!pair_endpoints} reads, so a later
-    {!pair_endpoints} of the same state hits; no lookup is made. *)
+(** The one solver: [map_words g policy dep pairs f] solves the attacked
+    states of the pairs one {!plan} word at a time and returns, in pair
+    order, the per-lane values [f ~dst ~attackers word] gives ([f] must
+    return one value per lane, in lane order; the word is valid only
+    during the call).  [attacker_claim] is as in {!pair_endpoints}.
+    [pool] fans the words out; otherwise [domains > 1] borrows the
+    default pool, and by default they run in the caller.  Every domain
+    solves on its private {!Routing.Batch.Workspace}, and the values are
+    scattered back by pair position, so they are bit-identical whatever
+    the parallelism.  With [cache], every lane's endpoint counts are
+    stored under the slot {!pair_endpoints} reads; no lookup is made. *)
+
+val mean : bounds array -> bounds
+(** The H metric of per-pair bounds: their mean, summed in array order
+    (zero bounds for no pairs). *)
 
 val h_metric :
   ?pool:Parallel.Pool.t ->
@@ -183,40 +177,23 @@ val h_metric :
     the mean, in pair order, of the {!endpoint_bounds} of
     {!pair_endpoints} (same arguments). *)
 
-val h_metric_per_dst :
-  ?pool:Parallel.Pool.t ->
-  ?cache:Cache.t ->
-  Topology.Graph.t ->
-  Routing.Policy.t ->
-  Deployment.t ->
-  attackers:int array ->
-  dst:int ->
-  bounds
-(** [H_{M,d}(S)] for a single destination. *)
-
 (** Incremental evaluation of [H] along a deployment trajectory.
 
-    An evaluator owns a pair set and remembers the per-pair bounds of the
-    last deployment it saw.  [eval] on the next deployment computes the
-    {!Routing.Incremental} dirty cone of the delta and recomputes {e only}
-    the dirty pairs, carrying the remembered bounds for the clean ones.
-    Every pair of every [eval] is counted in exactly one of
-    [stats.computed], [stats.carried] and [stats.cache_hits].  Results
-    are bit-identical to a from-scratch {!h_metric} on every step (same
+    An evaluator owns a pair set, its cache, and the last deployment it
+    saw.  [eval] on the next deployment computes the
+    {!Routing.Incremental} dirty cone of the delta, {!Cache.carry}s the
+    clean pairs to the new deployment, and then reads every pair through
+    {!pair_endpoints} with that cache: carried and cached pairs are hits,
+    and only the dirty, uncached ones are solved.  Results are
+    bit-identical to a from-scratch {!h_metric} on every step (same
     input-order reduction, and carried values are sound by
     construction); the [incremental] check pass and the qcheck
-    properties enforce this.
-
-    All values are also published to the (shareable) {!Cache}, so sibling
-    evaluators over overlapping pair sets reuse each other's work. *)
+    properties enforce this.  Sibling evaluators sharing the cache reuse
+    each other's work. *)
 module Evaluator : sig
   type t
 
-  type stats = {
-    computed : int;  (** pairs recomputed with the engine *)
-    carried : int;  (** pairs carried clean from the previous step *)
-    cache_hits : int;  (** pairs served from the shared cache *)
-  }
+  type stats = { computed : int  (** pairs solved with the engine *) }
 
   val create :
     ?pool:Parallel.Pool.t ->
@@ -249,9 +226,8 @@ end
     graph takes {!Topology.Graph.Delta} steps (CAIDA monthly-snapshot
     replays, link-failure what-ifs, perturbation sweeps).
 
-    Pairs are grouped destination-major into words of at most
-    {!Routing.Batch.max_lanes} attackers, exactly as {!h_metric}'s
-    batched path.  Each word retains the frozen group state of its last
+    Pairs are grouped into the words of {!plan}, as {!map_words} solves
+    them.  Each word retains the frozen group state of its last
     batched solve; {!Replay.step} re-solves only the words the per-word
     influence test ({!Routing.Incremental.Topo.influenced}) cannot prove
     untouched and carries every other word's bounds bit-for-bit.

@@ -671,12 +671,12 @@ let counts ?pool ?cache g policy pairs =
         (counts_by ?pool ?cache g policy pairs ~groups:1 ~group:(fun _ -> 0))
 
 (* Sources other than the attacker holding any perceivable route to the
-   destination, with nothing avoided: one lane per distinct destination,
-   so the pairs of a destination share its closure, and the attacker's
-   own slot is read off its masks. *)
+   destination, with nothing avoided: one lane per word of the plan, so
+   the pairs of a word share its destination's closure, and each
+   attacker's own slot is read off its masks. *)
 let reach_counts ?pool g pairs =
   validate g pairs;
-  let dsts = H_metric.destinations pairs in
+  let plan = H_metric.plan pairs in
   let module L = Routing.Reach.Lanes in
   let n = Topology.Graph.n g in
   let per_word =
@@ -684,7 +684,7 @@ let reach_counts ?pool g pairs =
       (fun word ->
         let ws = Ws.local () in
         let lanes = Array.length word in
-        Array.iteri (fun l k -> ws.Ws.dsts.(l) <- fst dsts.(k)) word;
+        Array.iteri (fun l k -> ws.Ws.dsts.(l) <- plan.(k).H_metric.dst) word;
         Array.fill ws.Ws.attackers 0 lanes (-1);
         L.compute ws.Ws.d g ~lanes ~roots:ws.Ws.dsts ~avoid:ws.Ws.attackers;
         Ws.counters ws ~n ~groups:1;
@@ -696,13 +696,13 @@ let reach_counts ?pool g pairs =
         done;
         Array.mapi
           (fun l k ->
+            let w = plan.(k) in
             let reached = Prelude.Lane_counter.get ws.Ws.immune.(0) l in
-            Array.map
-              (fun j ->
-                (j, reached - ((any pairs.(j).H_metric.attacker lsr l) land 1)))
-              (snd dsts.(k)))
+            Array.map2
+              (fun j m -> (j, reached - ((any m lsr l) land 1)))
+              w.H_metric.pos w.H_metric.attackers)
           word)
-      (words (Array.length dsts))
+      (words (Array.length plan))
   in
   let out = Array.make (Array.length pairs) 0 in
   Array.iter (Array.iter (Array.iter (fun (j, c) -> out.(j) <- c))) per_word;

@@ -149,5 +149,6 @@ val reach_counts :
   ?pool:Parallel.Pool.t -> Topology.Graph.t -> H_metric.pair array -> int array
 (** Per pair, in pair order: the sources — every AS but the pair's
     attacker and destination — holding a perceivable route to the
-    destination, nothing avoided.  One closure lane per distinct
-    destination.  Raises [Invalid_argument] as {!counts}. *)
+    destination, nothing avoided.  One closure lane per {!H_metric.plan}
+    word: per destination, up to 63 attackers.  Raises
+    [Invalid_argument] as {!counts}. *)

@@ -163,23 +163,15 @@ let same_lp (a : Routing.Policy.t) (b : Routing.Policy.t) =
   | Lp_k i, Lp_k j -> i = j
   | _ -> false
 
-(* [H_metric.batch_plan] lists the words of a destination
-   consecutively; gather them so its normal states are solved once. *)
-let by_destination plan =
-  Array.fold_right
-    (fun (dst, attackers, _) acc ->
-      match acc with
-      | (d, words) :: rest when Int.equal d dst ->
-          (d, attackers :: words) :: rest
-      | _ -> (dst, [ attackers ]) :: acc)
-    plan []
-  |> Array.of_list
-
 let sum ?pool g policies dep pairs =
   let n = Topology.Graph.n g in
   let policies = Array.of_list policies in
   let empty = Deployment.empty n in
-  let per_dst (dst, words) =
+  let words = H_metric.plan pairs in
+  (* A destination's words are consecutive in the plan: it is the run of
+     words from its first one, which shares one normal state per policy. *)
+  let per_dst first =
+    let dst = words.(first).dst in
     (* Toward an unsigned origin no route is secure, so neither model
        nor deployment changes a state (as the metric cache keys it): the
        attack with S is the one with S = {}, and no normal route counts. *)
@@ -202,33 +194,39 @@ let sum ?pool g policies dep pairs =
           { zero with secure_by_dst = !c })
         normals
     in
-    List.iter
-      (fun attackers ->
-        let lanes = Array.length attackers in
-        Array.fill s.own 0 n 0;
-        Array.iteri (fun l m -> s.own.(m) <- s.own.(m) lor (1 lsl l)) attackers;
-        let solve policy dep =
-          Routing.Batch.compute ~ws g policy dep ~dst ~attackers
-        in
-        Array.iteri
-          (fun i policy ->
-            (* No security model tells the S = {} states apart: consecutive
-               policies of one local-preference variant share the word. *)
-            if i = 0 || not (same_lp policies.(i - 1) policy) then
-              fill_lanes (solve policy empty) ~n ~secure:s.sec ~happy:s.base;
-            (match normals.(i) with
-            | Some normal ->
-                mark_through s normal ~n;
-                fill_lanes (solve policy dep) ~n ~secure:s.sec ~happy:s.hap
-            | None -> Array.blit s.base 0 s.hap 0 n);
-            acc.(i) <- add acc.(i) (classify s dep normals.(i) ~n ~dst ~lanes))
-          policies)
-      words;
+    let k = ref first in
+    while !k < Array.length words && words.(!k).dst = dst do
+      let attackers = words.(!k).attackers in
+      let lanes = Array.length attackers in
+      Array.fill s.own 0 n 0;
+      Array.iteri (fun l m -> s.own.(m) <- s.own.(m) lor (1 lsl l)) attackers;
+      let solve policy dep =
+        Routing.Batch.compute ~ws g policy dep ~dst ~attackers
+      in
+      Array.iteri
+        (fun i policy ->
+          (* No security model tells the S = {} states apart: consecutive
+             policies of one local-preference variant share the word. *)
+          if i = 0 || not (same_lp policies.(i - 1) policy) then
+            fill_lanes (solve policy empty) ~n ~secure:s.sec ~happy:s.base;
+          (match normals.(i) with
+          | Some normal ->
+              mark_through s normal ~n;
+              fill_lanes (solve policy dep) ~n ~secure:s.sec ~happy:s.hap
+          | None -> Array.blit s.base 0 s.hap 0 n);
+          acc.(i) <- add acc.(i) (classify s dep normals.(i) ~n ~dst ~lanes))
+        policies;
+      incr k
+    done;
     acc
   in
+  let firsts =
+    List.filter
+      (fun k -> k = 0 || words.(k - 1).dst <> words.(k).dst)
+      (List.init (Array.length words) Fun.id)
+  in
   let totals =
-    Parallel.map ?pool ~domains:1 ~chunk:1 per_dst
-      (by_destination (H_metric.batch_plan pairs))
+    Parallel.map ?pool ~domains:1 ~chunk:1 per_dst (Array.of_list firsts)
   in
   List.init (Array.length policies) (fun i ->
       Array.fold_left (fun t per -> add t per.(i)) zero totals)

@@ -54,7 +54,7 @@ val sum :
     classification summed over every pair and source.  The pairs of a
     destination share one attacker-free solve per policy, and their
     attacked states come from the {!Routing.Batch} words of
-    {!H_metric.batch_plan}: one word per policy for [S], and
+    {!H_metric.plan}: one word per policy for [S], and
     one for [S = {}], which no security model can tell apart, shared by
     consecutive policies of one local-preference variant.  [pool] fans
     the destinations out; the counts are integer sums, the same

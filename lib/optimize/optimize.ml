@@ -1,15 +1,8 @@
 module M = Metric.H_metric
 
-type objective = [ `Lb | `Ub ]
-
-let happy_with ?(objective = `Lb) g policy dep ~attacker ~dst =
-  let outcome =
-    Routing.Engine.compute g policy dep ~dst ~attacker:(Some attacker)
-  in
-  let counts = M.happy outcome in
-  match objective with
-  | `Lb -> counts.M.happy_lb
-  | `Ub -> counts.M.happy_ub
+let happy_with g policy dep ~attacker ~dst =
+  (M.happy (Routing.Engine.compute g policy dep ~dst ~attacker:(Some attacker)))
+    .M.happy_lb
 
 (* Enumerate k-subsets of [candidates], invoking [f] on each (as a list). *)
 let iter_subsets candidates k f =
@@ -71,33 +64,17 @@ module Max_k = struct
     | Some b -> b
     | None -> Deployment.empty n
 
-  let obj objective (b : M.bounds) =
-    match objective with `Lb -> b.M.lb | `Ub -> b.M.ub
-
   (* [dep] with AS [v] upgraded to Full (the greedy step). *)
   let add_full dep v =
     Deployment.of_modes
       (Array.init (Deployment.n dep) (fun u ->
            if u = v then Deployment.Full else Deployment.mode dep u))
 
-  (* Distinct values in first-seen order (deterministic). *)
-  let distinct xs =
-    let seen = Hashtbl.create 16 in
-    let out = ref [] in
-    Array.iter
-      (fun x ->
-        if not (Hashtbl.mem seen x) then begin
-          Hashtbl.add seen x ();
-          out := x :: !out
-        end)
-      xs;
-    Array.of_list (List.rev !out)
-
   (* The specification greedy: from-scratch h_metric per candidate per
-     round.  Optimizes [objective] of the pair-set bounds; gains are the
+     round.  Optimizes the lower bound of the pair-set metric; gains are the
      same float subtraction CELF uses, and ties keep the earliest
      candidate position, so the two solvers are comparable bit-for-bit. *)
-  let greedy ?pool ?(objective = `Lb) ?base g policy ~pairs ~k ~candidates =
+  let greedy ?pool ?base g policy ~pairs ~k ~candidates =
     let base = validate "greedy" g ?base ~pairs ~k ~candidates () in
     let npairs = Array.length pairs in
     let in_chosen = Prelude.Bitset.create (Topology.Graph.n g) in
@@ -120,7 +97,7 @@ module Max_k = struct
                let s = M.h_metric ?pool g policy dep pairs in
                round_engine := !round_engine + npairs;
                incr round_gains;
-               let gain = obj objective s -. obj objective !cur_score in
+               let gain = s.M.lb -. !cur_score.M.lb in
                match !best with
                | Some (bg, _, _, _) when Float.compare gain bg <= 0 -> ()
                | _ -> best := Some (gain, c, dep, s)
@@ -233,14 +210,13 @@ module Max_k = struct
       end
   end
 
-  let celf ?pool ?cache ?(objective = `Lb) ?base ?fault g policy ~pairs ~k
+  let celf ?pool ?cache ?base ?fault g policy ~pairs ~k
       ~candidates =
     let n = Topology.Graph.n g in
     let base = validate "celf" g ?base ~pairs ~k ~candidates () in
     let cache = match cache with Some c -> c | None -> M.Cache.create () in
     let ev = M.Evaluator.create ?pool ~cache g policy pairs in
-    let attackers = distinct (Array.map (fun p -> p.M.attacker) pairs) in
-    let dsts = distinct (Array.map (fun p -> p.M.dst) pairs) in
+    let dsts = Array.map (fun p -> p.M.dst) pairs in
     let baseline = M.Evaluator.eval ev base in
     let engine_mark = ref (M.Evaluator.stats ev).M.Evaluator.computed in
     let gain_evals = ref 0 in
@@ -260,13 +236,12 @@ module Max_k = struct
           Routing.Incremental.compute g ~old_dep:e.e_dep ~new_dep:d ~dsts
         in
         ignore
-          (M.Cache.carry cache policy g cone ~old_dep:e.e_dep ~new_dep:d
-             ~attackers ~dsts
+          (M.Cache.carry cache policy g cone ~old_dep:e.e_dep ~new_dep:d pairs
             : int)
       end;
       let s = M.Evaluator.eval ev d in
       incr gain_evals;
-      e.e_gain <- obj objective s -. obj objective !cur_score;
+      e.e_gain <- s.M.lb -. !cur_score.M.lb;
       e.e_round <- !picked;
       e.e_dep <- d;
       e.e_score <- s
@@ -281,7 +256,7 @@ module Max_k = struct
           {
             e_cand = c;
             e_pos = i;
-            e_gain = obj objective s -. obj objective baseline;
+            e_gain = s.M.lb -. baseline.M.lb;
             e_round = 0;
             e_dep = d;
             e_score = s;

@@ -4,7 +4,9 @@
     secure so as to maximize the H-metric over those pairs.  The problem
     is NP-hard in all three routing models (Theorem 5.1; {!Set_cover} is
     the Appendix-I reduction as an executable construction), so the
-    practical solvers are greedy:
+    practical solvers are greedy.  Both maximize the lower bound of the
+    pair-set metric (the pessimistic-tiebreak world, the guaranteed-happy
+    count the Appendix-I reduction is stated over):
 
     - {!Max_k.greedy} — the naive full-re-eval greedy: every round
       rescores every remaining candidate from scratch.  Slow, but it is
@@ -14,7 +16,8 @@
       {!Metric.H_metric.Cache}: marginal gains are dirty-cone deltas,
       stale gains sit in a max-priority queue and are re-evaluated only
       while the top entry is stale, and the monotone-chain cache is
-      carried across the greedy trajectory via [Cache.carry].
+      carried across the greedy trajectory via
+      {!Metric.H_metric.Cache.carry}.
 
     H is {e not} proven submodular, so CELF's lazy pruning is a
     heuristic, not a theorem: a stale gain may grow after an unrelated
@@ -28,24 +31,16 @@
     the reduction's brute-force deciders ({!Set_cover}) are built on;
     no experiment optimizes a single pair. *)
 
-type objective = [ `Lb | `Ub ]
-(** Which endpoint of the H-metric bounds an optimizer maximizes.
-    [`Lb] (the default everywhere) optimizes the pessimistic-tiebreak
-    world — the guaranteed-happy count the Appendix-I reduction is
-    stated over; [`Ub] optimizes the optimistic world.  Each caller
-    documents its choice; nothing silently collapses the interval. *)
-
 val happy_with :
-  ?objective:objective ->
   Topology.Graph.t ->
   Routing.Policy.t ->
   Deployment.t ->
   attacker:int ->
   dst:int ->
   int
-(** Happy-source count of one pair under [objective] (default [`Lb]:
-    lower-bound semantics, matching the reduction's requirement that
-    tied ASes prefer the attacker). *)
+(** Happy-source count of one pair in the pessimistic-tiebreak world:
+    the lower bound, matching the reduction's requirement that tied
+    ASes prefer the attacker. *)
 
 val iter_subsets : int array -> int -> (int list -> unit) -> unit
 (** [iter_subsets candidates k f] calls [f] on every [k]-subset of
@@ -83,7 +78,6 @@ module Max_k : sig
 
   val greedy :
     ?pool:Parallel.Pool.t ->
-    ?objective:objective ->
     ?base:Deployment.t ->
     Topology.Graph.t ->
     Routing.Policy.t ->
@@ -93,8 +87,7 @@ module Max_k : sig
     result
   (** The specification greedy: each round rescores {e every} remaining
       candidate with a from-scratch {!Metric.H_metric.h_metric} (no
-      cache) and picks the first strictly-best gain under [objective]
-      (default [`Lb]).  [base] (default the empty deployment) is the
+      cache) and picks the first strictly-best lower-bound gain.  [base] (default the empty deployment) is the
       starting deployment; picks are added to it as [Full].  A pick is
       made every round even when the best gain is zero — H under a
       growing deployment never loses, and a fixed-size answer is what
@@ -105,7 +98,6 @@ module Max_k : sig
   val celf :
     ?pool:Parallel.Pool.t ->
     ?cache:Metric.H_metric.Cache.t ->
-    ?objective:objective ->
     ?base:Deployment.t ->
     ?fault:fault ->
     Topology.Graph.t ->
@@ -121,7 +113,7 @@ module Max_k : sig
       fresh top is selected.  Re-scoring goes through a single
       {!Metric.H_metric.Evaluator} whose cache ([cache] if given, else
       private) is carried along each candidate's monotone chain with
-      [Cache.carry], so a re-score costs only the dirty-cone delta.
+      {!Metric.H_metric.Cache.carry}, so a re-score costs only the dirty-cone delta.
       Values are bit-identical to {!greedy}'s on every evaluated
       deployment (the evaluator guarantees this); the {e pick sequence}
       is only guaranteed to match where H behaves submodularly, which

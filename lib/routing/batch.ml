@@ -53,7 +53,8 @@ type tiebreak = Bounds | Lowest_next_hop
    is a shift and an int test, and a Bounds merge is one [lor] — see
    {!Reference} for the seven-array layout this replaced.  The rank
    bound is O(max_len) for every model and LP variant (Policy.max_rank),
-   so 34 rank bits dwarf any graph that fits the 24 length bits. *)
+   so 34 rank bits dwarf any graph that fits the 24 length bits, which
+   hold every length of a graph within [Topology.Graph.max_ases]. *)
 module Packed = struct
   let to_m_flag = 1
   let to_d_flag = 2
@@ -219,9 +220,10 @@ let compute ?(tiebreak = Bounds) ?(attacker_claim = 1) ?ws g policy dep
       check m "attacker";
       if m = dst then invalid_arg "Batch.compute: attacker = dst")
     attackers;
+  (* Graphs are bounded so that [max_len] fits the packed length field. *)
+  if n > Topology.Graph.max_ases then
+    invalid_arg "Batch.compute: graph exceeds Topology.Graph.max_ases";
   let max_len = n + 1 in
-  if max_len > Packed.len_mask then
-    invalid_arg "Batch.compute: graph too large for the packed kernel";
   let tbl = Policy.Rank_table.make policy ~max_len in
   let max_rank = tbl.Policy.Rank_table.max_rank in
   let ws = match ws with Some ws -> ws | None -> Workspace.create n in

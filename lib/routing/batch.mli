@@ -135,8 +135,10 @@ val compute :
     committed only where touched.  Repeated callers pass a reused one.
 
     Raises [Invalid_argument] when the lane count exceeds [max_lanes],
-    any id is out of range, some attacker equals [dst], or
-    [attacker_claim < 0]. *)
+    any id is out of range, some attacker equals [dst],
+    [attacker_claim < 0], or the graph has more than
+    {!Topology.Graph.max_ases} ASes (only a graph built with
+    {!Topology.Graph.unsafe_of_adjacency} can). *)
 
 val iter_fixed : t -> (v:int -> mask:int -> word:int -> parent:int -> unit) -> unit
 (** Iterate every frozen group of every reached AS, in ascending AS

@@ -118,8 +118,15 @@ let csr g =
 (* Relationship of the pair (a, b) with a < b, from a's point of view. *)
 type rel = A_customer_of_b | B_customer_of_a | Peers
 
+(* A path of a graph of [n] ASes is at most [n + 1] hops long with the
+   attacker's claim, and the routing kernel packs lengths into 24 bits. *)
+let max_ases = (1 lsl 24) - 2
+
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
+  if n > max_ases then
+    invalid_arg
+      (Printf.sprintf "Graph.of_edges: %d ASes exceed max_ases = %d" n max_ases);
   let check v =
     if v < 0 || v >= n then
       invalid_arg (Printf.sprintf "Graph.of_edges: AS %d out of range" v)
@@ -230,6 +237,7 @@ let of_csr ~adj ~xs =
   let xl = Bigarray.Array1.dim xs in
   if xl < 1 || (xl - 1) mod 3 <> 0 then fail "xs length is not 3n + 1";
   let n = (xl - 1) / 3 in
+  if n > max_ases then fail (Printf.sprintf "%d ASes exceed max_ases" n);
   let al = Bigarray.Array1.dim adj in
   if xs.{0} <> 0 then fail "xs does not start at 0";
   for k = 0 to xl - 2 do

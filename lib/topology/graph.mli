@@ -46,10 +46,17 @@ type edge =
   | Customer_provider of int * int  (** [(c, p)]: [c] is a customer of [p] *)
   | Peer_peer of int * int
 
+val max_ases : int
+(** The largest AS count a graph may have: 2{^24} - 2, so that every
+    path length the routing kernel packs (at most [n + 1]) fits its
+    24-bit length field.  {!of_edges}, {!of_csr} and the text parsers
+    reject larger graphs before allocating them. *)
+
 val of_edges : n:int -> edge list -> t
-(** Build a graph over [n] ASes.  Raises [Invalid_argument] on self loops,
-    out-of-range endpoints, or an AS pair appearing with two different
-    relationships.  Duplicate identical edges are collapsed. *)
+(** Build a graph over [n] ASes.  Raises [Invalid_argument] on
+    [n > max_ases], self loops, out-of-range endpoints, or an AS pair
+    appearing with two different relationships.  Duplicate identical
+    edges are collapsed. *)
 
 val of_csr : adj:ints -> xs:ints -> t
 (** Wrap a raw CSR pair (typically mapped from a snapshot) after full

@@ -20,9 +20,11 @@ let header = "# n="
    second, "0" means peering.  Extra fields (CAIDA as-rel2 appends the
    inference source) are ignored.  Every defect [Graph.of_edges] would
    reject — a self loop, a negative id, one pair given two different
-   relationships, an id at or above a [# n=] header's count — fails
-   here instead, on the line that commits it. *)
-let parse s =
+   relationships, an id at or above a [# n=] header's count, a count
+   above [Graph.max_ases] or (with [dense] ids) an id at or above it —
+   fails here instead, on the line that commits it, before anything of
+   the graph's size is allocated. *)
+let parse ~dense s =
   let n = ref (-1) in
   let triples = ref [] in
   (* Unordered pair -> (relationship, first line), relationships
@@ -36,6 +38,10 @@ let parse s =
       if line = "" then ()
       else if String.starts_with ~prefix:header line then begin
         match int_of_string_opt (String.sub line hl (String.length line - hl)) with
+        | Some v when v > Graph.max_ases ->
+            fail
+              (Printf.sprintf "AS count %d exceeds the largest supported %d" v
+                 Graph.max_ases)
         | Some v when v >= 0 -> n := v
         | _ -> fail "expected a non-negative AS count after \"# n=\""
       end
@@ -47,6 +53,10 @@ let parse s =
             | Some a, Some b ->
                 if a < 0 || b < 0 then fail "negative AS id";
                 if a = b then fail (Printf.sprintf "self loop at AS %d" a);
+                if dense && max a b >= Graph.max_ases then
+                  fail
+                    (Printf.sprintf "AS %d exceeds the largest supported id %d"
+                       (max a b) (Graph.max_ases - 1));
                 let rel =
                   match String.trim rel with
                   | "-1" -> `Provider_of
@@ -89,7 +99,7 @@ let edges_of_triples triples =
     triples
 
 let of_string s =
-  let header_n, triples = parse s in
+  let header_n, triples = parse ~dense:true s in
   let n =
     if header_n >= 0 then header_n
     else List.fold_left (fun acc (a, b, _, _) -> max acc (max a b + 1)) 0 triples
@@ -97,7 +107,7 @@ let of_string s =
   Graph.of_edges ~n (edges_of_triples triples)
 
 let of_string_remapped s =
-  let _, triples = parse s in
+  let _, triples = parse ~dense:false s in
   let table = Hashtbl.create 1024 in
   let order = ref [] in
   let intern asn =

@@ -12,7 +12,9 @@ val of_string : string -> Graph.t
     malformed input: a line that is not [<a>|<b>|<rel>] with integer ids
     and [rel] in [{-1, 0}], a negative id, a self loop, a pair restated
     with a different relationship, a [# n=] header without a
-    non-negative count, or an id at or above the header's count.  Lines
+    non-negative count or with one above {!Graph.max_ases}, an id at or
+    above the header's count, or an id at or above {!Graph.max_ases}
+    (checked as the line is read, so no such graph is allocated).  Lines
     with extra fields (e.g. CAIDA as-rel2's trailing source column) are
     accepted; AS ids must be dense in [0, n). *)
 
@@ -22,8 +24,9 @@ val of_string_remapped : string -> Graph.t * int array
 (** Like {!of_string}, but accepts arbitrary (sparse) AS numbers — as in
     real CAIDA relationship files — and maps them onto dense ids.  The
     returned array gives the original AS number of each dense id.  Fails
-    like {!of_string}: a [# n=] header still bounds the ids, but an AS
-    that appears on no line is dropped. *)
+    like {!of_string}: a [# n=] header still bounds the ids (and is
+    itself bounded by {!Graph.max_ases}), but an AS that appears on no
+    line is dropped. *)
 
 val load_remapped : string -> Graph.t * int array
 

@@ -355,7 +355,10 @@ let metric_empty_cases () =
   Alcotest.(check (float 0.)) "empty make = empty" b0.Core.Metric.lb
     be.Core.Metric.lb;
   (* All attackers equal the destination: zero pairs. *)
-  let bd = Core.Metric.h_metric_per_dst g sec3 dep ~attackers:[| 0 |] ~dst:0 in
+  let bd =
+    Core.Metric.h_metric g sec3 dep
+      (Core.Metric.pairs ~attackers:[| 0 |] ~dsts:[| 0 |] ())
+  in
   Alcotest.(check (float 0.)) "m = d only" 0. bd.Core.Metric.lb
 
 let attacker_inside_s =

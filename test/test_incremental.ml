@@ -76,8 +76,9 @@ let prop_cone_sound seed =
 
 (* The evaluator along a random monotone chain with a downgrade tail must
    reproduce the from-scratch H-metric bit-for-bit at every step — per
-   aggregate and per pair — and account for every pair of every step in
-   exactly one of its computed / carried / cache-hit counters. *)
+   aggregate and per pair.  Every pair of every step is read from its
+   cache, and every cache miss is a pair it solved: the carry never
+   misses, because the previous step left every pair cached. *)
 let prop_evaluator_exact ~pool seed =
   let rng = Core.Rng.create seed in
   let g = random_graph rng ~max_n:40 in
@@ -97,17 +98,18 @@ let prop_evaluator_exact ~pool seed =
     [ d0; d1; d2; d2 (* repeat: the delta-free fast path *); d3; downgrade rng d3 ]
   in
   let pool = if pool then Some (Lazy.force shared_pool) else None in
-  let ev = Core.Metric.Evaluator.create ?pool g policy pairs in
+  let cache = Core.Metric.Cache.create () in
+  let ev = Core.Metric.Evaluator.create ?pool ~cache g policy pairs in
   let evals = ref 0 in
   List.for_all
     (fun dep ->
       let inc = Core.Metric.Evaluator.eval ev dep in
       incr evals;
       let st = Core.Metric.Evaluator.stats ev in
+      let misses = Core.Metric.Cache.misses cache in
       let accounted =
-        st.Core.Metric.Evaluator.computed + st.Core.Metric.Evaluator.carried
-        + st.Core.Metric.Evaluator.cache_hits
-        = !evals * Array.length pairs
+        st.Core.Metric.Evaluator.computed = misses
+        && Core.Metric.Cache.hits cache + misses >= !evals * Array.length pairs
       in
       let scratch = Core.Metric.h_metric g policy dep pairs in
       let per_pair_equal =
@@ -142,11 +144,12 @@ let test_cache_reuse () =
   let ev1 = Core.Metric.Evaluator.create ~cache g policy pairs in
   let b1 = Core.Metric.Evaluator.eval ev1 dep in
   let ev2 = Core.Metric.Evaluator.create ~cache g policy pairs in
+  let hits0 = Core.Metric.Cache.hits cache in
   let b2 = Core.Metric.Evaluator.eval ev2 dep in
   Alcotest.(check bool) "same bounds" true (b1 = b2);
   let st = Core.Metric.Evaluator.stats ev2 in
   Alcotest.(check int) "all pairs from cache" (Array.length pairs)
-    st.Core.Metric.Evaluator.cache_hits;
+    (Core.Metric.Cache.hits cache - hits0);
   Alcotest.(check int) "nothing recomputed" 0 st.Core.Metric.Evaluator.computed
 
 (* Key normalization: a destination that does not sign its origin yields
@@ -210,8 +213,7 @@ let test_carry () =
   ignore (Core.Metric.h_metric ~cache g policy old_dep pairs);
   let cone = Core.Incremental.compute g ~old_dep ~new_dep ~dsts in
   let carried =
-    Core.Metric.Cache.carry cache policy g cone ~old_dep ~new_dep ~attackers
-      ~dsts
+    Core.Metric.Cache.carry cache policy g cone ~old_dep ~new_dep pairs
   in
   let misses0 = Core.Metric.Cache.misses cache in
   let via_cache = Core.Metric.h_metric ~cache g policy new_dep pairs in
@@ -550,8 +552,11 @@ let test_per_destination_cache () =
     in
     Array.length via_cache = Array.length fresh
     && Array.for_all2
-         (fun (d, (a : Core.Metric.bounds)) (d', (b : Core.Metric.bounds)) ->
-           d = d' && bits_equal a.lb b.lb && bits_equal a.ub b.ub)
+         (fun (d, (h : Core.Metric.bounds), (a : Core.Metric.bounds))
+              (d', (h' : Core.Metric.bounds), (b : Core.Metric.bounds)) ->
+           d = d'
+           && bits_equal h.lb h'.lb && bits_equal h.ub h'.ub
+           && bits_equal a.lb b.lb && bits_equal a.ub b.ub)
          via_cache fresh
   in
   List.iter
@@ -564,12 +569,13 @@ let test_per_destination_cache () =
   let cone =
     Core.Incremental.compute g ~old_dep:step1 ~new_dep:step2 ~dsts:retained
   in
+  let retained_pairs = Core.Metric.pairs ~attackers ~dsts:retained () in
   let carried =
     List.fold_left
       (fun acc (policy, _) ->
         acc
         + Core.Metric.Cache.carry cache policy g cone ~old_dep:step1
-            ~new_dep:step2 ~attackers ~dsts:retained)
+            ~new_dep:step2 retained_pairs)
       0 evs
   in
   Alcotest.(check bool) "carry republished clean pairs" true (carried > 0);

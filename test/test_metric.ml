@@ -198,11 +198,11 @@ let test_partition_bounds_metric =
         && h.Metric.lb >= immune_frac -. 1e-9
       end)
 
-let test_h_metric_per_dst () =
+let test_per_destination () =
   let g = graph 3 [ c2p 1 0; c2p 2 1 ] in
   let b =
-    Metric.h_metric_per_dst g sec3 (Deployment.empty 3) ~attackers:[| 2; 0 |]
-      ~dst:0
+    Metric.h_metric g sec3 (Deployment.empty 3)
+      (Metric.pairs ~attackers:[| 2; 0 |] ~dsts:[| 0 |] ())
   in
   (* Only attacker 2 counts (0 = dst skipped).  Source AS 1: legit
      provider route len 1 vs bogus customer route len 2 via its customer
@@ -324,10 +324,11 @@ let test_batched_h_metric_identity =
       let total = float_of_int (Array.length pairs) in
       got.Metric.lb = !lb /. total && got.Metric.ub = !ub /. total)
 
-(* batch_plan covers each input position exactly once, groups by the
-   position's destination and never exceeds the lane bound. *)
-let test_batch_plan =
-  qtest "batch_plan partitions the pair positions" ~count:200 (fun seed ->
+(* The plan covers each input position exactly once, groups by the
+   position's destination, never exceeds the lane bound, and lists a
+   destination's words consecutively. *)
+let test_plan =
+  qtest "plan partitions the pair positions" ~count:200 (fun seed ->
       let rng = Rng.create seed in
       let npairs = 1 + Rng.int rng 300 in
       let pairs =
@@ -337,21 +338,26 @@ let test_batch_plan =
               dst = 100 + Rng.int rng 5 (* few dsts: forces chunking *);
             })
       in
-      let items = Metric.batch_plan pairs in
+      let words = Metric.plan pairs in
       let seen = Array.make npairs 0 in
       let ok = ref true in
-      Array.iter
-        (fun (dst, attackers, pos) ->
-          if Array.length pos = 0 || Array.length pos > Batch.max_lanes then
-            ok := false;
-          if Array.length attackers <> Array.length pos then ok := false;
+      Array.iteri
+        (fun k (w : Metric.word) ->
+          let n = Array.length w.pos in
+          if n = 0 || n > Batch.max_lanes then ok := false;
+          if Array.length w.attackers <> n then ok := false;
+          (* A destination seen before must end the run right before. *)
+          for k' = 0 to k - 2 do
+            if words.(k').dst = w.dst && words.(k - 1).dst <> w.dst then
+              ok := false
+          done;
           Array.iteri
             (fun l j ->
               seen.(j) <- seen.(j) + 1;
-              if pairs.(j).Metric.dst <> dst then ok := false;
-              if pairs.(j).Metric.attacker <> attackers.(l) then ok := false)
-            pos)
-        items;
+              if pairs.(j).Metric.dst <> w.dst then ok := false;
+              if pairs.(j).Metric.attacker <> w.attackers.(l) then ok := false)
+            w.pos)
+        words;
       !ok && Array.for_all (fun c -> c = 1) seen)
 
 (* Per-lane partition counts off one batched solve = per-pair counts,
@@ -668,11 +674,11 @@ let () =
           Alcotest.test_case "happy counts" `Quick test_happy_counts;
           Alcotest.test_case "pairs" `Quick test_pairs;
           Alcotest.test_case "pairs requires rng" `Quick test_pairs_requires_rng;
-          Alcotest.test_case "per-destination metric" `Quick test_h_metric_per_dst;
+          Alcotest.test_case "per-destination metric" `Quick test_per_destination;
           test_lb_below_ub;
           test_baseline_model_independent;
           test_batched_h_metric_identity;
-          test_batch_plan;
+          test_plan;
           test_full_word_identity;
         ] );
       ( "partitions",

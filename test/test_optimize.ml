@@ -72,20 +72,6 @@ let test_securing_helps =
         happy (Deployment.make ~n ~full:[| dst |] ())
         >= happy (Deployment.empty n))
 
-(* The upper-bound objective can only see more happy sources than the
-   lower-bound one (ties resolve toward the attacker in the latter). *)
-let test_objective_order =
-  qtest "happy_with `Ub >= `Lb" ~count:40 (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_graph rng ~max_n:12 in
-      let n = Graph.n g in
-      let dst = Rng.int rng n and m = Rng.int rng n in
-      if m = dst then true
-      else
-        let dep = random_deployment rng n in
-        Optimize.happy_with ~objective:`Ub g sec3 dep ~attacker:m ~dst
-        >= Optimize.happy_with ~objective:`Lb g sec3 dep ~attacker:m ~dst)
-
 (* ---- argument validation and early stopping ---------------------- *)
 
 let raises_invalid f =
@@ -157,14 +143,11 @@ let test_celf_eq_greedy =
             let candidates = Array.of_list cands in
             let k = 1 + Rng.int rng 3 in
             let policy = random_policy rng in
-            let objective = if seed mod 2 = 0 then `Lb else `Ub in
             let naive =
-              Optimize.Max_k.greedy ~objective ~base g policy ~pairs ~k
-                ~candidates
+              Optimize.Max_k.greedy ~base g policy ~pairs ~k ~candidates
             in
             let celf =
-              Optimize.Max_k.celf ~objective ~base g policy ~pairs ~k
-                ~candidates
+              Optimize.Max_k.celf ~base g policy ~pairs ~k ~candidates
             in
             let diags =
               Check.Optimize.compare_results ~label:"qcheck" naive celf
@@ -284,7 +267,6 @@ let () =
           test_greedy_le_exhaustive;
           test_greedy_eq_exhaustive_k1;
           test_securing_helps;
-          test_objective_order;
         ] );
       ( "validation",
         [

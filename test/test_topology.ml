@@ -33,7 +33,12 @@ let test_graph_dedups () =
 
 let test_graph_out_of_range () =
   Alcotest.check_raises "range" (Invalid_argument "Graph.of_edges: AS 5 out of range")
-    (fun () -> ignore (graph 2 [ c2p 0 5 ]))
+    (fun () -> ignore (graph 2 [ c2p 0 5 ]));
+  Alcotest.check_raises "too many ASes"
+    (Invalid_argument
+       (Printf.sprintf "Graph.of_edges: %d ASes exceed max_ases = %d"
+          (Graph.max_ases + 1) Graph.max_ases))
+    (fun () -> ignore (Graph.of_edges ~n:(Graph.max_ases + 1) []))
 
 let test_cycle_detection () =
   let g = graph 3 [ c2p 0 1; c2p 1 2; c2p 2 0 ] in
@@ -112,6 +117,33 @@ let test_serial_errors () =
   let g = Serial.of_string "# n=3\n# name=x\n0|1|-1\n0|1|-1\n" in
   Alcotest.(check int) "duplicate edge kept once" 1
     (Graph.num_customer_provider_edges g)
+
+(* A header count or a dense id past Graph.max_ases fails on its line
+   while the text is read, so the graph it names is never allocated. *)
+let test_serial_size_bound () =
+  let fails_small what text msg =
+    let before = Gc.allocated_bytes () in
+    Alcotest.check_raises what (Failure msg) (fun () ->
+        ignore (Serial.of_string text));
+    Alcotest.(check bool)
+      (what ^ ": under 1 MB allocated")
+      true
+      (Gc.allocated_bytes () -. before < 1e6)
+  in
+  fails_small "huge header" "0|1|-1
+# n=1000000000
+"
+    (Printf.sprintf "Serial: line 2: AS count 1000000000 exceeds the largest supported %d"
+       Graph.max_ases);
+  fails_small "huge id" "0|1|-1
+1000000000|1|0
+"
+    (Printf.sprintf "Serial: line 2: AS 1000000000 exceeds the largest supported id %d"
+       (Graph.max_ases - 1));
+  (* Sparse ids are remapped, so only the count bounds them. *)
+  let g, _ = Serial.of_string_remapped "1000000000|1|0
+" in
+  Alcotest.(check int) "remapped huge id" 2 (Graph.n g)
 
 (* Random text over the alphabet 0-9 | - # n = a, space and newline,
    built from edge, header and comment lines (so some inputs parse and
@@ -542,6 +574,7 @@ let () =
           test_serial_roundtrip;
           Alcotest.test_case "format" `Quick test_serial_format;
           Alcotest.test_case "errors" `Quick test_serial_errors;
+          Alcotest.test_case "size bound" `Quick test_serial_size_bound;
           test_serial_fuzz;
           Alcotest.test_case "file round trip" `Quick test_serial_file_roundtrip;
           Alcotest.test_case "sparse ASN remapping" `Quick test_serial_remapped;
