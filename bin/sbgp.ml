@@ -91,7 +91,7 @@ let context n seed ixp scale domains graph_file =
       (* Pick CPs: top peering-degree ASes with providers. *)
       let candidates =
         List.init (Core.Graph.n g) Fun.id
-        |> List.filter (fun v -> Array.length (Core.Graph.providers g v) > 0)
+        |> List.filter (fun v -> Core.Graph.provider_degree g v > 0)
         |> List.sort (fun a b ->
                compare (Core.Graph.peer_degree g b) (Core.Graph.peer_degree g a))
       in

@@ -106,8 +106,8 @@ val run_kernel : ?options:options -> Topology.Graph.t -> Diagnostic.report
     against the reference kernel. *)
 
 val run_topology : ?options:options -> Topology.Graph.t -> Diagnostic.report
-(** Only the topology pass ([sbgp check --topology]): CSR-vs-tables
-    identity, snapshot round-trip and corruption rejection, and
+(** Only the topology pass ([sbgp check --topology]): delta-patched
+    CSR vs rebuilt CSR identity, snapshot round-trip and corruption rejection, and
     delta-replay-vs-scratch bit-identity (uses [inc_pairs] pairs). *)
 
 val run_alloc : ?options:options -> Topology.Graph.t -> Diagnostic.report

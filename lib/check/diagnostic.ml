@@ -83,8 +83,8 @@ let catalogue =
       "IXP augmentation altered or dropped an edge, or added a non-peer \
        edge" );
     ( "topo/csr-mismatch",
-      "the Bigarray CSR disagrees with the adjacency-table view on some \
-       row segment" );
+      "the CSR Delta.apply patched differs from the one of_edges builds \
+       from the same edges, at some step of a seeded delta chain" );
     ( "topo/snapshot",
       "a binary snapshot failed to round-trip bit-identically, or a \
        corrupted payload loaded without a digest error" );

@@ -1,8 +1,9 @@
-(* Differential checks for the off-heap topology layer (PR 9):
+(* Differential checks for the off-heap topology layer:
 
-   - the Bigarray CSR and the adjacency-table accessors must describe
-     the same graph (they are two lazily-materialized views of one
-     value; a divergence means one materialization path is wrong);
+   - every graph of a seeded delta chain must hold the CSR that
+     [Graph.of_edges] rebuilds from its edge list: [Delta.apply]
+     patches the parent's CSR row by row, and a divergence means the
+     patch (or the rebuild) is wrong;
    - a binary snapshot must round-trip bit-identically, and a corrupted
      payload must be rejected (the digest gate actually fires);
    - replaying a seeded chain of topology deltas through
@@ -15,31 +16,6 @@ module G = Topology.Graph
 module M = Metric.H_metric
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* ---- CSR vs adjacency tables ------------------------------------- *)
-
-let csr_pass g =
-  let n = G.n g in
-  let c = G.csr g in
-  let xs = c.G.Csr.xs and adj = c.G.Csr.adj in
-  let diags = ref [] in
-  let bad v msg =
-    diags := !diags @ [ D.error ~rule:"topo/csr-mismatch" ~subjects:[ v ] msg ]
-  in
-  let seg lo hi = Array.init (hi - lo) (fun i -> adj.{lo + i}) in
-  for v = 0 to n - 1 do
-    let check_seg name table lo hi =
-      if table <> seg lo hi then
-        bad v
-          (Printf.sprintf
-             "CSR %s segment [%d, %d) disagrees with the adjacency table"
-             name lo hi)
-    in
-    check_seg "customer" (G.customers g v) xs.{3 * v} xs.{(3 * v) + 1};
-    check_seg "peer" (G.peers g v) xs.{(3 * v) + 1} xs.{(3 * v) + 2};
-    check_seg "provider" (G.providers g v) xs.{(3 * v) + 2} xs.{(3 * v) + 3}
-  done;
-  (n, !diags)
 
 (* ---- Snapshot round-trip ------------------------------------------ *)
 
@@ -209,8 +185,40 @@ let delta_pass ~seed ~pairs ~steps g policies =
   end;
   (!items, !diags)
 
+(* ---- Patched CSR vs rebuilt CSR ---------------------------------- *)
+
+(* The delta chain of [delta_pass]'s replays (same seed), stepped with
+   [Delta.apply]; each stepped graph is compared with the graph
+   [of_edges] builds from its edges. *)
+let csr_pass ~seed ~steps g =
+  let items = ref 0 in
+  let diags = ref [] in
+  if G.num_customer_provider_edges g + G.num_peer_edges g > 0 then begin
+    let rng = Rng.create (seed + 7) in
+    let removed = ref None in
+    let cur = ref g in
+    for step = 1 to steps do
+      let delta = step_delta rng !cur ~removed in
+      let g' = G.Delta.apply !cur delta in
+      incr items;
+      if not (graphs_identical g' (G.of_edges ~n:(G.n g') (G.edges g'))) then
+        diags :=
+          !diags
+          @ [
+              D.error ~rule:"topo/csr-mismatch"
+                ~subjects:(Array.to_list (G.Delta.endpoints delta))
+                (Printf.sprintf
+                   "delta step %d: the CSR Delta.apply patched differs from \
+                    the one of_edges builds from the same edges"
+                   step);
+            ];
+      cur := g'
+    done
+  end;
+  (!items, !diags)
+
 let analyze ?(steps = 4) ~seed ~pairs g policies =
-  let citems, cdiags = csr_pass g in
+  let citems, cdiags = csr_pass ~seed ~steps g in
   let sitems, sdiags = snapshot_pass g in
   let ditems, ddiags = delta_pass ~seed ~pairs ~steps g policies in
   (citems + sitems + ditems, cdiags @ sdiags @ ddiags)

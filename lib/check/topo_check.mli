@@ -1,8 +1,10 @@
 (** Differential checks for the off-heap topology layer (rules
     [topo/csr-mismatch], [topo/snapshot], [topo/delta-divergence]):
 
-    - the Bigarray CSR must agree with the adjacency-table accessors on
-      every row segment;
+    - every graph of a seeded delta chain, stepped with
+      {!Topology.Graph.Delta.apply} (which patches its parent's CSR),
+      must hold the CSR bit-identical to the one
+      {!Topology.Graph.of_edges} builds from its edge list;
     - a binary snapshot ({!Topology.Serial.save_snapshot}) must
       round-trip bit-identically, and a one-byte payload corruption must
       be rejected by the digest;
@@ -21,6 +23,7 @@ val analyze :
 (** [analyze ~seed ~pairs g policies] returns (items covered,
     diagnostics).  [steps] (default 4) is the length of each policy's
     delta chain; [pairs] the number of sampled (attacker, destination)
-    pairs whose bounds are compared at every step.  The delta-replay
+    pairs whose bounds are compared at every step; the CSR sub-pass
+    steps the same chain once, one item per step.  The delta-replay
     sub-pass needs [n >= 8]; below that only the CSR and snapshot gates
-    run. *)
+    run (the CSR gate needs an edge). *)

@@ -93,8 +93,8 @@ let run (ctx : Context.t) =
     let a = Array.copy candidates in
     Array.sort
       (fun u v ->
-        let du = Array.length (Topology.Graph.customers g u)
-        and dv = Array.length (Topology.Graph.customers g v) in
+        let du = Topology.Graph.customer_degree g u
+        and dv = Topology.Graph.customer_degree g v in
         if du <> dv then compare dv du else compare u v)
       a;
     a

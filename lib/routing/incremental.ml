@@ -136,13 +136,12 @@ module Topo = struct
   let cone g delta =
     let n = Topology.Graph.n g in
     let affected = Prelude.Bitset.create n in
-    let old_view = Topology.Graph.view g in
-    let new_view = Topology.Graph.overlay g delta in
+    let g' = Topology.Graph.Delta.apply g delta in
     Array.iter
       (fun e ->
         Prelude.Bitset.add affected e;
-        Reach.union_into (Reach.compute_view old_view ~root:e ()) ~into:affected;
-        Reach.union_into (Reach.compute_view new_view ~root:e ()) ~into:affected)
+        Reach.union_into (Reach.compute g ~root:e ()) ~into:affected;
+        Reach.union_into (Reach.compute g' ~root:e ()) ~into:affected)
       (Topology.Graph.Delta.endpoints delta);
     { affected; card = Prelude.Bitset.cardinal affected }
 

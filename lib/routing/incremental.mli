@@ -66,8 +66,9 @@ module Topo : sig
   val cone : Topology.Graph.t -> Topology.Graph.Delta.t -> cone
   (** Diagnostic: the roots the delta could influence, bounded by
       reachability — [{e} ∪ Reach_old(e) ∪ Reach_new(e)] over every
-      delta endpoint [e], the post-delta closure computed over a
-      {!Topology.Graph.overlay}.  Two {!Reach} closures per endpoint,
+      delta endpoint [e], the post-delta closure computed on
+      [Topology.Graph.Delta.apply g delta] (which validates the delta).
+      One O(edges) apply, then two {!Reach} closures per endpoint,
       O(edges) each.  Every word {!influenced} marks dirty has its
       destination or an attacker in this set. *)
 

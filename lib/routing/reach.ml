@@ -5,64 +5,59 @@ type t = {
   root : int;
 }
 
-let compute_view (vw : Topology.Graph.view) ~root ?(avoid = -1) ?only () =
-  let n = vw.Topology.Graph.view_n in
+let compute g ~root ?(avoid = -1) ?only () =
+  let n = Topology.Graph.n g in
   if root < 0 || root >= n then invalid_arg "Reach.compute: root out of range";
   if root = avoid then invalid_arg "Reach.compute: root = avoid";
+  let { Topology.Graph.Csr.adj; xs } = Topology.Graph.csr g in
   let customer_set = Prelude.Bitset.create n in
   let peer_set = Prelude.Bitset.create n in
   let provider_set = Prelude.Bitset.create n in
-  let allowed = match only with None -> fun _ -> true | Some f -> f in
-  let ok v = v <> avoid && v <> root && allowed v in
-  let iter_customers = vw.Topology.Graph.iter_customers in
-  let iter_peers = vw.Topology.Graph.iter_peers in
-  let iter_providers = vw.Topology.Graph.iter_providers in
-  (* Customer routes: climb customer-to-provider edges from the root. *)
-  let queue = Queue.create () in
-  let push_customer v =
-    if ok v && not (Prelude.Bitset.mem customer_set v) then begin
-      Prelude.Bitset.add customer_set v;
-      Queue.add v queue
-    end
+  let ok v =
+    v <> avoid && v <> root && match only with None -> true | Some f -> f v
   in
-  iter_providers push_customer root;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    iter_providers push_customer u
-  done;
+  (* [push set seg u] queues, into [set], each allowed AS of segment
+     [seg] (0 customers, 1 peers, 2 providers) of [u]'s CSR row.
+     Reachability is O(E) queue work — the packed kernel ({!Batch}),
+     not these closures, is the unsafe-access hot path. *)
+  let queue = Queue.create () in
+  let push set seg u =
+    for i = xs.{(3 * u) + seg} to xs.{(3 * u) + seg + 1} - 1 do
+      let v = adj.{i} in
+      if ok v && not (Prelude.Bitset.mem set v) then begin
+        Prelude.Bitset.add set v;
+        Queue.add v queue
+      end
+    done
+  in
+  let drain set seg =
+    while not (Queue.is_empty queue) do
+      push set seg (Queue.pop queue)
+    done
+  in
+  (* Customer routes: climb customer-to-provider edges from the root. *)
+  push customer_set 2 root;
+  drain customer_set 2;
   (* Peer routes: one peer hop off a customer route (or off the root). *)
-  let has_customer_or_root u = u = root || Prelude.Bitset.mem customer_set u in
   for v = 0 to n - 1 do
     if ok v then begin
-      let found = ref false in
-      iter_peers (fun u -> if (not !found) && has_customer_or_root u then found := true) v;
-      if !found then Prelude.Bitset.add peer_set v
+      let i = ref xs.{(3 * v) + 1} and stop = xs.{(3 * v) + 2} in
+      while
+        !i < stop
+        && not (adj.{!i} = root || Prelude.Bitset.mem customer_set adj.{!i})
+      do
+        incr i
+      done;
+      if !i < stop then Prelude.Bitset.add peer_set v
     end
   done;
   (* Provider routes: close downward from anything reachable. *)
-  let push_provider v =
-    if ok v && not (Prelude.Bitset.mem provider_set v) then begin
-      Prelude.Bitset.add provider_set v;
-      Queue.add v queue
-    end
-  in
-  let seed u = iter_customers push_provider u in
+  let seed = push provider_set 0 in
   seed root;
   Prelude.Bitset.iter seed customer_set;
   Prelude.Bitset.iter seed peer_set;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    seed u
-  done;
+  drain provider_set 0;
   { customer_set; peer_set; provider_set; root }
-
-(* The plain-graph entry point runs the same closure over the graph's own
-   view: CSR-backed segment scans when the CSR is already built, table
-   iteration otherwise.  Reachability is O(E) queue work either way —
-   the packed kernel ({!Batch}), not these closures, is the
-   unsafe-access hot path. *)
-let compute g ~root ?(avoid = -1) ?only () =
-  compute_view (Topology.Graph.view g) ~root ~avoid ?only ()
 
 let customer t v = Prelude.Bitset.mem t.customer_set v
 let peer t v = Prelude.Bitset.mem t.peer_set v

@@ -29,19 +29,6 @@ val compute :
     every hop validates and re-signs — which is what the incremental
     dirty-cone computation ({!Incremental}) uses. *)
 
-val compute_view :
-  Topology.Graph.view ->
-  root:int ->
-  ?avoid:int ->
-  ?only:(int -> bool) ->
-  unit ->
-  t
-(** Same closure over an adjacency {!Topology.Graph.view} — in
-    particular a {!Topology.Graph.overlay}, so the topology-delta cone
-    ({!Incremental.Topo}) can measure post-delta reachability without
-    materializing the edited graph.  [compute g] is
-    [compute_view (Topology.Graph.view g)]. *)
-
 val customer : t -> int -> bool
 (** Has a perceivable customer route to the root. *)
 

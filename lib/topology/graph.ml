@@ -1,10 +1,10 @@
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 module Csr = struct
-  (* Flat compressed-sparse-row view of the adjacency: every neighbor of
-     every AS lives in one contiguous [adj] array, one row per AS, with
-     the row split into three segments — customers, then peers, then
-     providers.  [xs] holds the 3n+1 segment boundaries:
+  (* Flat compressed-sparse-row adjacency: every neighbor of every AS
+     lives in one contiguous [adj] array, one row per AS, with the row
+     split into three segments — customers, then peers, then providers.
+     [xs] holds the 3n+1 segment boundaries:
 
        customers of v : adj[xs.{3v}   .. xs.{3v+1})
        peers of v     : adj[xs.{3v+1} .. xs.{3v+2})
@@ -22,50 +22,18 @@ module Csr = struct
   type t = { adj : ints; xs : ints }
 
   let alloc len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
-
-  let of_tables ~customers ~peers ~providers =
-    let n = Array.length customers in
-    let xs = alloc ((3 * n) + 1) in
-    let total = ref 0 in
-    for v = 0 to n - 1 do
-      xs.{3 * v} <- !total;
-      total := !total + Array.length customers.(v);
-      xs.{(3 * v) + 1} <- !total;
-      total := !total + Array.length peers.(v);
-      xs.{(3 * v) + 2} <- !total;
-      total := !total + Array.length providers.(v)
-    done;
-    xs.{3 * n} <- !total;
-    let adj = alloc !total in
-    let fill src pos = Array.iteri (fun i x -> adj.{pos + i} <- x) src in
-    for v = 0 to n - 1 do
-      fill customers.(v) xs.{3 * v};
-      fill peers.(v) xs.{(3 * v) + 1};
-      fill providers.(v) xs.{(3 * v) + 2}
-    done;
-    { adj; xs }
 end
 
-(* Per-AS adjacency tables: the boxed counterpart of the CSR.  A graph
-   holds at least one of the two representations; each is built lazily
-   from the other and cached. *)
-type tables = {
-  customers : int array array;
-  providers : int array array;
-  peers : int array array;
-}
-
+(* The CSR is the graph's only adjacency; it is never mutated once the
+   graph holds it.  The hierarchy cache may race: two domains on a cold
+   cache both build identical values and one pointer write wins —
+   wasted work, never a wrong answer. *)
 type t = {
   n : int;
   num_c2p : int;
   num_p2p : int;
   version : int;
-  (* The three caches follow the same race discipline: two domains racing on
-     a cold cache both build identical values and one pointer write wins
-     — wasted work, never a wrong answer (the fields hold immutable
-     values and pointer writes are atomic). *)
-  mutable tables : tables option;
-  mutable csr_cache : Csr.t option;
+  csr : Csr.t;
   mutable hierarchy_cache : (int array, int array) result option;
 }
 
@@ -76,44 +44,54 @@ type t = {
 let version_counter = Atomic.make 0
 let fresh_version () = Atomic.fetch_and_add version_counter 1
 
+(* A graph over a CSR, its edge counts read off the segment sizes. *)
+let make (c : Csr.t) =
+  let xs = c.Csr.xs in
+  let n = (Bigarray.Array1.dim xs - 1) / 3 in
+  let c2p = ref 0 and peer_entries = ref 0 in
+  for v = 0 to n - 1 do
+    c2p := !c2p + (xs.{(3 * v) + 1} - xs.{3 * v});
+    peer_entries := !peer_entries + (xs.{(3 * v) + 2} - xs.{(3 * v) + 1})
+  done;
+  { n; num_c2p = !c2p; num_p2p = !peer_entries / 2;
+    version = fresh_version (); csr = c; hierarchy_cache = None }
+
+let csr g = g.csr
+
+(* Boundaries of [3n] consecutive segments, segment [k] of [size k]
+   entries. *)
+let boundaries n size =
+  let xs = Csr.alloc ((3 * n) + 1) in
+  xs.{0} <- 0;
+  for k = 0 to (3 * n) - 1 do
+    xs.{k + 1} <- xs.{k} + size k
+  done;
+  xs
+
+(* Segment [k] of the CSR (class [k mod 3] of AS [k / 3], indexed like
+   [xs]) copied into a fresh array. *)
+let segment (c : Csr.t) k =
+  let lo = c.Csr.xs.{k} in
+  let a = Array.make (c.Csr.xs.{k + 1} - lo) 0 in
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- c.Csr.adj.{lo + i}
+  done;
+  a
+
+(* Whether [x] occurs in the sorted span [adj.{lo} .. adj.{hi - 1}]. *)
+let mem_span (adj : ints) lo hi x =
+  let lo = ref lo and hi = ref hi in
+  let found = ref false in
+  while (not !found) && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let y = adj.{mid} in
+    if y = x then found := true else if y < x then lo := mid + 1 else hi := mid
+  done;
+  !found
+
 type edge =
   | Customer_provider of int * int
   | Peer_peer of int * int
-
-let tables g =
-  match g.tables with
-  | Some tb -> tb
-  | None ->
-      let c =
-        match g.csr_cache with
-        | Some c -> c
-        | None -> assert false (* constructors always install one side *)
-      in
-      let adj = c.Csr.adj and xs = c.Csr.xs in
-      let seg lo hi = Array.init (hi - lo) (fun i -> adj.{lo + i}) in
-      let tb =
-        {
-          customers = Array.init g.n (fun v -> seg xs.{3 * v} xs.{(3 * v) + 1});
-          peers =
-            Array.init g.n (fun v -> seg xs.{(3 * v) + 1} xs.{(3 * v) + 2});
-          providers =
-            Array.init g.n (fun v -> seg xs.{(3 * v) + 2} xs.{(3 * v) + 3});
-        }
-      in
-      g.tables <- Some tb;
-      tb
-
-let csr g =
-  match g.csr_cache with
-  | Some c -> c
-  | None ->
-      let tb = tables g in
-      let c =
-        Csr.of_tables ~customers:tb.customers ~peers:tb.peers
-          ~providers:tb.providers
-      in
-      g.csr_cache <- Some c;
-      c
 
 (* Relationship of the pair (a, b) with a < b, from a's point of view. *)
 type rel = A_customer_of_b | B_customer_of_a | Peers
@@ -164,73 +142,57 @@ let of_edges ~n edge_list =
       | Customer_provider (c, p) -> insert c p A_customer_of_b
       | Peer_peer (a, b) -> insert a b Peers)
     edge_list;
-  let cust_deg = Array.make n 0 and prov_deg = Array.make n 0 and peer_deg = Array.make n 0 in
-  Hashtbl.iter
-    (fun key rel ->
-      let a = key / n and b = key mod n in
-      match rel with
-      | A_customer_of_b ->
-          prov_deg.(a) <- prov_deg.(a) + 1;
-          cust_deg.(b) <- cust_deg.(b) + 1
-      | B_customer_of_a ->
-          prov_deg.(b) <- prov_deg.(b) + 1;
-          cust_deg.(a) <- cust_deg.(a) + 1
-      | Peers ->
-          peer_deg.(a) <- peer_deg.(a) + 1;
-          peer_deg.(b) <- peer_deg.(b) + 1)
-    tbl;
-  let customers = Array.init n (fun v -> Array.make cust_deg.(v) 0) in
-  let providers = Array.init n (fun v -> Array.make prov_deg.(v) 0) in
-  let peers = Array.init n (fun v -> Array.make peer_deg.(v) 0) in
-  let ci = Array.make n 0 and pi = Array.make n 0 and ei = Array.make n 0 in
-  let add_cust p c =
-    customers.(p).(ci.(p)) <- c;
-    ci.(p) <- ci.(p) + 1
+  (* [arcs f] calls [f k u] once per adjacency entry: neighbor [u] in
+     segment [k] (indexed like [xs]). *)
+  let arcs f =
+    Hashtbl.iter
+      (fun key rel ->
+        let a = key / n and b = key mod n in
+        match rel with
+        | A_customer_of_b ->
+            f ((3 * a) + 2) b;
+            f (3 * b) a
+        | B_customer_of_a ->
+            f ((3 * b) + 2) a;
+            f (3 * a) b
+        | Peers ->
+            f ((3 * a) + 1) b;
+            f ((3 * b) + 1) a)
+      tbl
   in
-  let add_prov c p =
-    providers.(c).(pi.(c)) <- p;
-    pi.(c) <- pi.(c) + 1
-  in
-  let add_peer a b =
-    peers.(a).(ei.(a)) <- b;
-    ei.(a) <- ei.(a) + 1
-  in
-  let num_c2p = ref 0 and num_p2p = ref 0 in
-  Hashtbl.iter
-    (fun key rel ->
-      let a = key / n and b = key mod n in
-      match rel with
-      | A_customer_of_b ->
-          incr num_c2p;
-          add_cust b a;
-          add_prov a b
-      | B_customer_of_a ->
-          incr num_c2p;
-          add_cust a b;
-          add_prov b a
-      | Peers ->
-          incr num_p2p;
-          add_peer a b;
-          add_peer b a)
-    tbl;
-  (* Sort adjacency for determinism (hash iteration order is arbitrary). *)
-  let sort_all arrs = Array.iter (fun a -> Array.sort Int.compare a) arrs in
-  sort_all customers;
-  sort_all providers;
-  sort_all peers;
-  { n; num_c2p = !num_c2p; num_p2p = !num_p2p; version = fresh_version ();
-    tables = Some { customers; providers; peers }; csr_cache = None;
-    hierarchy_cache = None }
+  let fill = Array.make (3 * n) 0 in
+  arcs (fun k _ -> fill.(k) <- fill.(k) + 1);
+  let xs = boundaries n (Array.get fill) in
+  let c = { Csr.adj = Csr.alloc xs.{3 * n}; xs } in
+  Array.fill fill 0 (3 * n) 0;
+  arcs (fun k u ->
+      c.Csr.adj.{xs.{k} + fill.(k)} <- u;
+      fill.(k) <- fill.(k) + 1);
+  (* Sort every segment for determinism (hash iteration order is
+     arbitrary). *)
+  for k = 0 to (3 * n) - 1 do
+    if fill.(k) > 1 then begin
+      let s = segment c k in
+      Array.sort Int.compare s;
+      Array.iteri (fun i u -> c.Csr.adj.{xs.{k} + i} <- u) s
+    end
+  done;
+  make c
 
 let unsafe_of_adjacency ~customers ~providers ~peers =
   let n = Array.length customers in
   if Array.length providers <> n || Array.length peers <> n then
     invalid_arg "Graph.unsafe_of_adjacency: table length mismatch";
-  let sum arrs = Array.fold_left (fun acc a -> acc + Array.length a) 0 arrs in
-  { n; num_c2p = sum customers; num_p2p = sum peers / 2;
-    version = fresh_version ();
-    tables = Some { customers; providers; peers }; csr_cache = None;
-    hierarchy_cache = None }
+  (* Segment [k] is table [k mod 3] (in CSR class order) of AS [k / 3],
+     packed as given. *)
+  let tables = [| customers; peers; providers |] in
+  let row k = tables.(k mod 3).(k / 3) in
+  let xs = boundaries n (fun k -> Array.length (row k)) in
+  let adj = Csr.alloc xs.{3 * n} in
+  for k = 0 to (3 * n) - 1 do
+    Array.iteri (fun i u -> adj.{xs.{k} + i} <- u) (row k)
+  done;
+  make { Csr.adj; xs }
 
 let of_csr ~adj ~xs =
   let fail msg = invalid_arg ("Graph.of_csr: " ^ msg) in
@@ -265,114 +227,78 @@ let of_csr ~adj ~xs =
   done;
   (* Mutuality: u's customer lists v as provider (and conversely), and
      peering is symmetric — binary search in the reverse segment. *)
-  let mem_seg lo hi x =
-    let lo = ref lo and hi = ref hi in
-    let found = ref false in
-    while (not !found) && !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      let y = adj.{mid} in
-      if y = x then found := true else if y < x then lo := mid + 1 else hi := mid
-    done;
-    !found
-  in
   for v = 0 to n - 1 do
     for i = xs.{3 * v} to xs.{(3 * v) + 1} - 1 do
       let u = adj.{i} in
-      if not (mem_seg xs.{(3 * u) + 2} xs.{(3 * u) + 3} v) then
+      if not (mem_span adj xs.{(3 * u) + 2} xs.{(3 * u) + 3} v) then
         fail
           (Printf.sprintf "AS %d lists customer %d, but not conversely" v u)
     done;
     for i = xs.{(3 * v) + 1} to xs.{(3 * v) + 2} - 1 do
       let u = adj.{i} in
-      if not (mem_seg xs.{(3 * u) + 1} xs.{(3 * u) + 2} v) then
+      if not (mem_span adj xs.{(3 * u) + 1} xs.{(3 * u) + 2} v) then
         fail (Printf.sprintf "AS %d lists peer %d, but not conversely" v u)
     done;
     for i = xs.{(3 * v) + 2} to xs.{(3 * v) + 3} - 1 do
       let u = adj.{i} in
-      if not (mem_seg xs.{3 * u} xs.{(3 * u) + 1} v) then
+      if not (mem_span adj xs.{3 * u} xs.{(3 * u) + 1} v) then
         fail
           (Printf.sprintf "AS %d lists provider %d, but not conversely" v u)
     done
   done;
-  let num_c2p = ref 0 and peer_entries = ref 0 in
-  for v = 0 to n - 1 do
-    num_c2p := !num_c2p + (xs.{(3 * v) + 1} - xs.{3 * v});
-    peer_entries := !peer_entries + (xs.{(3 * v) + 2} - xs.{(3 * v) + 1})
-  done;
-  { n; num_c2p = !num_c2p; num_p2p = !peer_entries / 2;
-    version = fresh_version (); tables = None;
-    csr_cache = Some { Csr.adj; xs }; hierarchy_cache = None }
+  make { Csr.adj; xs }
 
 let n g = g.n
 let version g = g.version
-let customers g v = (tables g).customers.(v)
-let providers g v = (tables g).providers.(v)
-let peers g v = (tables g).peers.(v)
+let customers g v = segment g.csr (3 * v)
+let peers g v = segment g.csr ((3 * v) + 1)
+let providers g v = segment g.csr ((3 * v) + 2)
 
-let customer_degree g v =
-  match g.csr_cache with
-  | Some c -> c.Csr.xs.{(3 * v) + 1} - c.Csr.xs.{3 * v}
-  | None -> Array.length (tables g).customers.(v)
-
-let peer_degree g v =
-  match g.csr_cache with
-  | Some c -> c.Csr.xs.{(3 * v) + 2} - c.Csr.xs.{(3 * v) + 1}
-  | None -> Array.length (tables g).peers.(v)
-
-let provider_degree g v =
-  match g.csr_cache with
-  | Some c -> c.Csr.xs.{(3 * v) + 3} - c.Csr.xs.{(3 * v) + 2}
-  | None -> Array.length (tables g).providers.(v)
-
-let degree g v = customer_degree g v + peer_degree g v + provider_degree g v
+let seg_len g k = g.csr.Csr.xs.{k + 1} - g.csr.Csr.xs.{k}
+let customer_degree g v = seg_len g (3 * v)
+let peer_degree g v = seg_len g ((3 * v) + 1)
+let provider_degree g v = seg_len g ((3 * v) + 2)
+let degree g v = g.csr.Csr.xs.{(3 * v) + 3} - g.csr.Csr.xs.{3 * v}
 
 let num_customer_provider_edges g = g.num_c2p
 let num_peer_edges g = g.num_p2p
 let is_stub g v = customer_degree g v = 0
 
-let mem_sorted (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let y = a.(mid) in
-    if y = x then found := true else if y < x then lo := mid + 1 else hi := mid
-  done;
-  !found
-
 let relationship g a b =
   if a < 0 || a >= g.n || b < 0 || b >= g.n then
     invalid_arg "Graph.relationship: AS out of range";
   if a = b then invalid_arg "Graph.relationship: equal endpoints";
-  let tb = tables g in
-  if mem_sorted tb.providers.(a) b then Some (Customer_provider (a, b))
-  else if mem_sorted tb.customers.(a) b then Some (Customer_provider (b, a))
-  else if mem_sorted tb.peers.(a) b then
+  let { Csr.adj; xs } = g.csr in
+  let has k = mem_span adj xs.{k} xs.{k + 1} b in
+  if has ((3 * a) + 2) then Some (Customer_provider (a, b))
+  else if has (3 * a) then Some (Customer_provider (b, a))
+  else if has ((3 * a) + 1) then
     Some (Peer_peer ((if a < b then a else b), if a < b then b else a))
   else None
 
 let edges g =
-  let tb = tables g in
+  let { Csr.adj; xs } = g.csr in
   let acc = ref [] in
   for v = 0 to g.n - 1 do
-    Array.iter (fun p -> acc := Customer_provider (v, p) :: !acc) tb.providers.(v);
-    Array.iter (fun u -> if v < u then acc := Peer_peer (v, u) :: !acc) tb.peers.(v)
+    for i = xs.{(3 * v) + 2} to xs.{(3 * v) + 3} - 1 do
+      acc := Customer_provider (v, adj.{i}) :: !acc
+    done;
+    for i = xs.{(3 * v) + 1} to xs.{(3 * v) + 2} - 1 do
+      if v < adj.{i} then acc := Peer_peer (v, adj.{i}) :: !acc
+    done
   done;
   !acc
 
 (* Kahn's algorithm on the customer -> provider digraph, once per
    graph: the ASes in the order it retires them (every customer before
    its providers), or — when some never reach in-degree 0 — those, which
-   sit on or above a cycle. *)
-(* Kahn's algorithm on the CSR rows, so a snapshot-loaded graph never
-   materializes its tables for it; [order] doubles as the FIFO queue
-   (pops happen in push order). *)
+   sit on or above a cycle.  [order] doubles as the FIFO queue (pops
+   happen in push order). *)
 let hierarchy g =
   match g.hierarchy_cache with
   | Some h -> h
   | None ->
-      let c = csr g in
-      let adj = c.Csr.adj and xs = c.Csr.xs in
+      let { Csr.adj; xs } = g.csr in
       let indeg = Array.init g.n (fun v -> xs.{(3 * v) + 1} - xs.{3 * v}) in
       let order = Array.make g.n 0 in
       let tail = ref 0 in
@@ -411,22 +337,20 @@ let hierarchy g =
 let connected g =
   if g.n <= 1 then true
   else begin
-    let tb = tables g in
+    let { Csr.adj; xs } = g.csr in
     let seen = Prelude.Bitset.create g.n in
     let queue = Queue.create () in
     Prelude.Bitset.add seen 0;
     Queue.add 0 queue;
     while not (Queue.is_empty queue) do
       let v = Queue.pop queue in
-      let visit u =
+      for i = xs.{3 * v} to xs.{(3 * v) + 3} - 1 do
+        let u = adj.{i} in
         if not (Prelude.Bitset.mem seen u) then begin
           Prelude.Bitset.add seen u;
           Queue.add u queue
         end
-      in
-      Array.iter visit tb.customers.(v);
-      Array.iter visit tb.providers.(v);
-      Array.iter visit tb.peers.(v)
+      done
     done;
     Prelude.Bitset.cardinal seen = g.n
   end
@@ -474,12 +398,10 @@ module Delta = struct
   }
 
   (* Validate every op against the base graph and fold it into per-vertex
-     edits.  Returns the edit table, the touched vertices in first-touch
-     order (the table itself is consulted by keyed lookup only — its
-     iteration order never matters), and the edge-count deltas. *)
+     edits, keyed by every endpoint of the delta.  The table is consulted
+     by keyed lookup only — its iteration order never matters. *)
   let plan g (d : t) =
     let edits : (int, edit) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
     let edit v =
       match Hashtbl.find_opt edits v with
       | Some e -> e
@@ -489,7 +411,6 @@ module Delta = struct
               r_rem = []; r_add = [] }
           in
           Hashtbl.add edits v e;
-          order := v :: !order;
           e
     in
     let seen_pairs : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -525,10 +446,6 @@ module Delta = struct
           let eb = edit b in
           eb.p_rem <- a :: eb.p_rem
     in
-    let is_cp = function Customer_provider _ -> true | Peer_peer _ -> false in
-    let dc2p = ref 0 and dp2p = ref 0 in
-    let count_add e = if is_cp e then incr dc2p else incr dp2p in
-    let count_rem e = if is_cp e then decr dc2p else decr dp2p in
     Array.iter
       (fun op ->
         let e = canon (op_edge op) in
@@ -543,18 +460,14 @@ module Delta = struct
         match op with
         | Add _ -> (
             match cur with
-            | None ->
-                add_edge e;
-                count_add e
+            | None -> add_edge e
             | Some _ ->
                 invalid_arg
                   (Printf.sprintf
                      "Graph.Delta: Add of already-adjacent pair (%d, %d)" a b))
         | Remove _ -> (
             match cur with
-            | Some have when edge_equal have e ->
-                remove_edge e;
-                count_rem e
+            | Some have when edge_equal have e -> remove_edge e
             | Some _ | None ->
                 invalid_arg
                   (Printf.sprintf
@@ -565,9 +478,7 @@ module Delta = struct
             match cur with
             | Some have when not (edge_equal have e) ->
                 remove_edge have;
-                count_rem have;
-                add_edge e;
-                count_add e
+                add_edge e
             | Some _ ->
                 invalid_arg
                   (Printf.sprintf
@@ -579,12 +490,13 @@ module Delta = struct
                   (Printf.sprintf
                      "Graph.Delta: Flip of non-adjacent pair (%d, %d)" a b)))
       d;
-    (edits, Array.of_list (List.rev !order), !dc2p, !dp2p)
+    edits
 
   let mem_list x l = List.exists (fun y -> y = x) l
 
-  (* Rebuild one adjacency row: drop removed members, append added ones,
-     restore sorted order.  The base row is sorted and edits are tiny. *)
+  (* Rebuild one adjacency segment: drop removed members, append added
+     ones, restore sorted order.  The base segment is sorted and edits
+     are tiny. *)
   let merge_row (base : int array) rem add =
     match (rem, add) with
     | [], [] -> base
@@ -594,83 +506,55 @@ module Delta = struct
         in
         Array.of_list (List.sort Int.compare (List.rev_append add kept))
 
+  (* The parent's CSR with the touched rows rewritten: the spans of
+     untouched rows between them are blitted, shifted by what the
+     touched rows before them grew or shrank. *)
   let apply g (d : t) =
-    let edits, order, dc2p, dp2p = plan g d in
-    let tb = tables g in
-    let customers = Array.copy tb.customers in
-    let providers = Array.copy tb.providers in
-    let peers = Array.copy tb.peers in
-    Array.iter
-      (fun v ->
-        match Hashtbl.find_opt edits v with
-        | None -> ()
-        | Some e ->
-            customers.(v) <- merge_row customers.(v) e.c_rem e.c_add;
-            peers.(v) <- merge_row peers.(v) e.p_rem e.p_add;
-            providers.(v) <- merge_row providers.(v) e.r_rem e.r_add)
-      order;
-    { n = g.n; num_c2p = g.num_c2p + dc2p; num_p2p = g.num_p2p + dp2p;
-      version = fresh_version ();
-      tables = Some { customers; providers; peers }; csr_cache = None;
-    hierarchy_cache = None }
-end
-
-type view = {
-  view_n : int;
-  iter_customers : (int -> unit) -> int -> unit;
-  iter_peers : (int -> unit) -> int -> unit;
-  iter_providers : (int -> unit) -> int -> unit;
-}
-
-let view g =
-  match g.csr_cache with
-  | Some c ->
-      let adj = c.Csr.adj and xs = c.Csr.xs in
-      let seg f lo hi =
-        for i = lo to hi - 1 do
-          f adj.{i}
-        done
-      in
-      {
-        view_n = g.n;
-        iter_customers = (fun f v -> seg f xs.{3 * v} xs.{(3 * v) + 1});
-        iter_peers = (fun f v -> seg f xs.{(3 * v) + 1} xs.{(3 * v) + 2});
-        iter_providers = (fun f v -> seg f xs.{(3 * v) + 2} xs.{(3 * v) + 3});
-      }
-  | None ->
-      let tb = tables g in
-      {
-        view_n = g.n;
-        iter_customers = (fun f v -> Array.iter f tb.customers.(v));
-        iter_peers = (fun f v -> Array.iter f tb.peers.(v));
-        iter_providers = (fun f v -> Array.iter f tb.providers.(v));
-      }
-
-let overlay g (d : Delta.t) =
-  let edits, _order, _dc2p, _dp2p = Delta.plan g d in
-  let base = view g in
-  if Hashtbl.length edits = 0 then base
-  else
-    let wrap base_it rem_of add_of f v =
-      match Hashtbl.find_opt edits v with
-      | None -> base_it f v
-      | Some e ->
-          let rem = rem_of e and add = add_of e in
-          (match rem with
-          | [] -> base_it f v
-          | _ -> base_it (fun u -> if not (Delta.mem_list u rem) then f u) v);
-          List.iter f add
+    let edits = plan g d in
+    let { Csr.adj; xs } = g.csr in
+    let touched = endpoints d in
+    let rows =
+      Array.map
+        (fun v ->
+          let e = Hashtbl.find edits v in
+          let seg s rem add = merge_row (segment g.csr ((3 * v) + s)) rem add in
+          [| seg 0 e.c_rem e.c_add; seg 1 e.p_rem e.p_add;
+             seg 2 e.r_rem e.r_add |])
+        touched
     in
-    {
-      view_n = base.view_n;
-      iter_customers =
-        wrap base.iter_customers
-          (fun e -> e.Delta.c_rem)
-          (fun e -> e.Delta.c_add);
-      iter_peers =
-        wrap base.iter_peers (fun e -> e.Delta.p_rem) (fun e -> e.Delta.p_add);
-      iter_providers =
-        wrap base.iter_providers
-          (fun e -> e.Delta.r_rem)
-          (fun e -> e.Delta.r_add);
-    }
+    let growth = ref 0 in
+    Array.iteri
+      (fun i v ->
+        Array.iter (fun s -> growth := !growth + Array.length s) rows.(i);
+        growth := !growth - (xs.{(3 * v) + 3} - xs.{3 * v}))
+      touched;
+    let xs' = Csr.alloc ((3 * g.n) + 1) in
+    let adj' = Csr.alloc (Bigarray.Array1.dim adj + !growth) in
+    (* Rows [from, upto) are untouched: their entries move by [shift]. *)
+    let copy_rows from upto shift =
+      for k = 3 * from to (3 * upto) - 1 do
+        xs'.{k} <- xs.{k} + shift
+      done;
+      let lo = xs.{3 * from} and len = xs.{3 * upto} - xs.{3 * from} in
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub adj lo len)
+        (Bigarray.Array1.sub adj' (lo + shift) len)
+    in
+    let from = ref 0 and shift = ref 0 in
+    Array.iteri
+      (fun i v ->
+        copy_rows !from v !shift;
+        let pos = ref (xs.{3 * v} + !shift) in
+        Array.iteri
+          (fun s seg ->
+            xs'.{(3 * v) + s} <- !pos;
+            Array.iteri (fun j u -> adj'.{!pos + j} <- u) seg;
+            pos := !pos + Array.length seg)
+          rows.(i);
+        shift := !pos - xs.{(3 * v) + 3};
+        from := v + 1)
+      touched;
+    copy_rows !from g.n !shift;
+    xs'.{3 * g.n} <- xs.{3 * g.n} + !shift;
+    make { Csr.adj = adj'; xs = xs' }
+end

@@ -6,12 +6,10 @@
     {e customer-to-provider} (the customer pays the provider) or
     {e peer-to-peer}.
 
-    A graph carries up to two interchangeable adjacency representations —
-    per-AS [int array] tables and an off-heap {!Csr} view — each built
-    lazily from the other and cached, so a graph loaded from a binary
-    snapshot ({!Serial.load_snapshot}) can run the routing kernels without
-    ever materializing per-AS arrays, and a graph built from edges pays
-    for the CSR only when a kernel first asks for it. *)
+    A graph holds its adjacency in one form, an immutable off-heap
+    {!Csr}: {!of_edges} and {!Delta.apply} build it directly, and a
+    graph loaded from a binary snapshot ({!Serial.load_snapshot}) wraps
+    the mapped arrays as they are.  Every accessor reads it. *)
 
 type t
 
@@ -20,8 +18,8 @@ type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
     (the GC never scans them) and directly mmap-able from a snapshot. *)
 
 module Csr : sig
-  (** Flat compressed-sparse-row view of the adjacency, for kernels that
-      scan whole neighborhoods: every neighbor of every AS in one
+  (** The graph's adjacency in flat compressed-sparse-row form, for
+      kernels that scan whole neighborhoods: every neighbor of every AS in one
       contiguous [adj] array, one row per AS, segmented as
       customers | peers | providers.  [xs] holds the [3n + 1] segment
       boundaries:
@@ -38,9 +36,7 @@ module Csr : sig
 end
 
 val csr : t -> Csr.t
-(** The graph's CSR view, built on first use and cached on the graph.
-    Concurrent first calls from several domains may build it redundantly
-    (identical results; last write wins) — never inconsistently. *)
+(** The graph's adjacency.  O(1): every constructor builds it. *)
 
 type edge =
   | Customer_provider of int * int  (** [(c, p)]: [c] is a customer of [p] *)
@@ -75,7 +71,8 @@ val unsafe_of_adjacency :
     duplicates, asymmetric or unsorted tables all pass through untouched.
     Exists so the checker's mutant suite and tests can build deliberately
     malformed graphs that {!of_edges} would reject; cached edge counts are
-    derived from the customer/peer tables.  Never use it for real data —
+    derived from the customer/peer tables, which are packed into the
+    CSR as given.  Never use it for real data —
     every invariant of this module's documentation is the caller's
     problem. *)
 
@@ -88,10 +85,10 @@ val version : t -> int
     another.  Purely a cache key — no computed result depends on it. *)
 
 val customers : t -> int -> int array
-(** [customers g v] are the neighbors that are customers of [v].  The
-    returned array is owned by the graph and must not be mutated.  On a
-    CSR-only graph (snapshot-loaded) the first call materializes all
-    three tables, O(edges) once. *)
+(** [customers g v] are the neighbors that are customers of [v],
+    ascending: a fresh copy of [v]'s CSR segment, owned by the caller
+    (O(degree) per call).  Kernels that scan neighborhoods read {!csr}
+    instead. *)
 
 val providers : t -> int -> int array
 val peers : t -> int -> int array
@@ -99,8 +96,8 @@ val peers : t -> int -> int array
 val customer_degree : t -> int -> int
 val peer_degree : t -> int -> int
 val provider_degree : t -> int -> int
-(** The three relationship degrees read the CSR's segment bounds when
-    the graph has one, so they never materialise the per-AS tables. *)
+(** The relationship degrees read the CSR's segment bounds: O(1), no
+    copy. *)
 
 val degree : t -> int -> int
 
@@ -136,11 +133,7 @@ val connected : t -> bool
 
     A {!Delta.t} describes a small edit to a graph — link additions,
     removals, relationship flips — without touching the graph it applies
-    to.  {!Delta.apply} materializes the edited graph (sharing every
-    untouched adjacency row with its base), and {!overlay} exposes the
-    edited adjacency as a cheap {!view} for cone computations that must
-    walk the {e post}-delta graph before deciding whether building it is
-    worth it. *)
+    to.  {!Delta.apply} builds the edited graph. *)
 
 module Delta : sig
   type graph
@@ -165,31 +158,12 @@ module Delta : sig
   (** The distinct ASes incident to any op, sorted ascending. *)
 
   val apply : graph -> t -> graph
-  (** The edited graph: untouched adjacency rows are shared with the
-      base (never copied), the edited rows stay sorted, and edge counts
-      are maintained.  The result has a fresh {!version} and no cached
-      CSR.  Raises [Invalid_argument] when an op's precondition fails
-      (naming the pair) or two ops touch the same pair. *)
+  (** The edited graph, with a fresh {!version} and a complete CSR: the
+      base's spans of untouched rows are blitted into it, the rows of
+      the delta's endpoints are merged and stay sorted, and edge counts
+      are maintained.  O(n + edges) copying, no sort outside the
+      touched rows; the base is left as it was.  Raises
+      [Invalid_argument] when an op's precondition fails (naming the
+      pair) or two ops touch the same pair. *)
 end
   with type graph := t
-
-type view = {
-  view_n : int;
-  iter_customers : (int -> unit) -> int -> unit;
-  iter_peers : (int -> unit) -> int -> unit;
-  iter_providers : (int -> unit) -> int -> unit;
-}
-(** A read-only adjacency abstraction: just enough for closure-style
-    traversals ({!Routing.Reach.compute_view}) to run on either a plain
-    graph or a not-yet-materialized delta edit.  Iteration order within
-    a segment is unspecified (set semantics). *)
-
-val view : t -> view
-(** The graph's own adjacency as a view (CSR-backed when the CSR is
-    already built, table-backed otherwise — never forces a build). *)
-
-val overlay : t -> Delta.t -> view
-(** The adjacency of [Delta.apply g d] as a view over [g] {e without}
-    materializing the edited graph: touched rows filter removed
-    neighbors and append added ones on the fly.  Validates the delta
-    like {!Delta.apply}. *)

@@ -53,7 +53,7 @@ val save_snapshot : string -> Graph.t -> unit
 val load_snapshot : string -> Graph.t
 (** Map a snapshot back into a graph.  The payload stays memory-mapped
     (the returned graph's CSR aliases the file, read-only by
-    convention); per-AS tables materialize lazily on first use.  Raises
+    convention), and it is the graph's only adjacency.  Raises
     [Failure] naming the defect — and the path — on bad magic, format
     version or word-size mismatch, truncation, trailing bytes, digest
     mismatch, an invalid CSR payload, or header/payload edge-count

@@ -109,35 +109,6 @@ let test_reach_sound_vs_engine =
       done;
       !ok)
 
-(* The view-based closure over a delta overlay must agree with the
-   closure on the materialized post-delta graph — the overlay is how the
-   topology-delta cone measures "new side" reachability without building
-   the edited graph. *)
-let test_reach_overlay =
-  qtest "closure over overlay equals closure on applied graph" ~count:200
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_graph rng ~max_n:30 in
-      let n = Graph.n g in
-      let delta = random_delta rng g in
-      let applied = Graph.Delta.apply g delta in
-      let root = Rng.int rng n in
-      let a = Reach.compute_view (Graph.overlay g delta) ~root () in
-      let b = Reach.compute applied ~root () in
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        if
-          Reach.customer a v <> Reach.customer b v
-          || Reach.peer a v <> Reach.peer b v
-          || Reach.provider a v <> Reach.provider b v
-        then begin
-          Printf.eprintf "seed %d: AS %d closure mismatch over overlay\n%!"
-            seed v;
-          ok := false
-        end
-      done;
-      !ok)
-
 (* Lane-mask closures: lane [l] of every mask equals the scalar closure
    of that lane's root and avoided AS, for 1 to 63 lanes with repeated
    roots and lanes that avoid nothing, on acyclic hierarchies and on
@@ -206,7 +177,6 @@ let () =
         ] );
       ( "vs engine",
         [ test_reach_covers_engine; test_reach_sound_vs_engine ] );
-      ("overlay", [ test_reach_overlay ]);
       ( "lanes",
         [
           test_lanes_match_scalar;
